@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.ml.tree import Binner, GradientTree, TreeParams
+from repro.ml.tree import Binner, GradientTree, TreePack, TreeParams
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class RandomForestClassifier:
         self.params = params or RandomForestParams()
         self._binner: Binner | None = None
         self._trees: list[tuple[GradientTree, np.ndarray]] = []
+        self._pack: TreePack | None = None
 
     def fit(self, X, y, eval_set: tuple | None = None) -> "RandomForestClassifier":
         """Fit the forest; ``eval_set`` is accepted for interface parity."""
@@ -60,6 +61,7 @@ class RandomForestClassifier:
             raise ValueError("y must be binary")
 
         rng = np.random.default_rng(params.seed)
+        self._pack = None
         self._binner = Binner(params.max_bins)
         binned = self._binner.fit_transform(X)
         n, n_features = binned.shape
@@ -91,10 +93,13 @@ class RandomForestClassifier:
     def predict_proba(self, X) -> np.ndarray:
         if self._binner is None or not self._trees:
             raise RuntimeError("model not fitted")
+        if self._pack is None:
+            self._pack = TreePack(
+                [tree for tree, _features in self._trees],
+                lambda value: np.clip(value, 0.0, 1.0),
+            )
         binned = self._binner.transform(np.asarray(X, dtype=float))
-        votes = np.zeros(binned.shape[0], dtype=float)
-        for tree, _features in self._trees:
-            votes += np.clip(tree.predict(binned), 0.0, 1.0)
+        votes = self._pack.accumulate(binned, 0.0)
         return votes / len(self._trees)
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:

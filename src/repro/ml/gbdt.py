@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.metrics import log_loss
-from repro.ml.tree import Binner, GradientTree, TreeParams
+from repro.ml.tree import Binner, GradientTree, TreePack, TreeParams
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -65,6 +65,7 @@ class GbdtClassifier:
         self._binner: Binner | None = None
         self._trees: list[GradientTree] = []
         self._bias = 0.0
+        self._pack: TreePack | None = None
         self.best_iteration_: int | None = None
 
     def fit(self, X, y, eval_set: tuple | None = None) -> "GbdtClassifier":
@@ -77,6 +78,7 @@ class GbdtClassifier:
             raise ValueError("y must be binary")
 
         rng = np.random.default_rng(params.seed)
+        self._pack = None
         self._binner = Binner(params.max_bins)
         binned = self._binner.fit_transform(X)
         n, n_features = binned.shape
@@ -168,11 +170,13 @@ class GbdtClassifier:
     def predict_raw(self, X) -> np.ndarray:
         if self._binner is None or not self._trees:
             raise RuntimeError("model not fitted")
+        if self._pack is None:
+            learning_rate = self.params.learning_rate
+            self._pack = TreePack(self._trees, lambda value: learning_rate * value)
         binned = self._binner.transform(np.asarray(X, dtype=float))
-        raw = np.full(binned.shape[0], self._bias)
-        for tree in self._trees:
-            raw += self.params.learning_rate * tree.predict(binned)
-        return raw
+        # Bias first, then each tree's shrunken leaf in order: the same
+        # additions as fit's ``raw += learning_rate * tree.predict(...)``.
+        return self._pack.accumulate(binned, self._bias)
 
     def predict_proba(self, X) -> np.ndarray:
         return _sigmoid(self.predict_raw(X))

@@ -33,15 +33,58 @@ def _tree_to_dict(tree: GradientTree) -> dict:
     }
 
 
-def _tree_from_dict(payload: dict) -> GradientTree:
+def _tree_from_dict(payload: dict, n_features: int) -> GradientTree:
+    try:
+        arrays = {
+            name: np.asarray(payload[name], dtype=np.int32)
+            for name in ("feature", "threshold", "left", "right")
+        }
+        arrays["value"] = np.asarray(payload["value"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed node arrays: {exc}") from exc
+    _check_nodes(n_features=n_features, **arrays)
     tree = GradientTree(TreeParams(**payload["params"]))
-    tree.feature = np.asarray(payload["feature"], dtype=np.int32)
-    tree.threshold = np.asarray(payload["threshold"], dtype=np.int32)
-    tree.left = np.asarray(payload["left"], dtype=np.int32)
-    tree.right = np.asarray(payload["right"], dtype=np.int32)
-    tree.value = np.asarray(payload["value"], dtype=np.float64)
+    tree.feature = arrays["feature"]
+    tree.threshold = arrays["threshold"]
+    tree.left = arrays["left"]
+    tree.right = arrays["right"]
+    tree.value = arrays["value"]
     tree.n_leaves = payload["n_leaves"]
     return tree
+
+
+def _check_nodes(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    value: np.ndarray,
+    n_features: int,
+) -> None:
+    """Reject node arrays the packed traversal could walk out of a tree on.
+
+    Children must come after their parent, as :meth:`GradientTree.fit`
+    numbers them, which also rules out cycles.
+    """
+    n = len(feature)
+    if n == 0 or any(
+        array.ndim != 1 or len(array) != n
+        for array in (feature, threshold, left, right, value)
+    ):
+        raise ValueError("node arrays must be non-empty and of equal length")
+    if feature.min() < -1 or feature.max() >= n_features:
+        raise ValueError(f"feature index outside [-1, {n_features})")
+    internal = np.flatnonzero(feature >= 0)
+    for name, child in (("left", left), ("right", right)):
+        child = child[internal]
+        if np.any(child <= internal) or np.any(child >= n):
+            raise ValueError(
+                f"{name} child index not after its parent or out of range"
+            )
+    if threshold.min() < 0 or threshold.max() > 255:
+        raise ValueError("bin threshold outside [0, 255]")
+    if not np.isfinite(value).all():
+        raise ValueError("non-finite node value")
 
 
 def _binner_to_dict(binner: Binner) -> dict:
@@ -55,6 +98,17 @@ def _binner_from_dict(payload: dict) -> Binner:
     binner = Binner(payload["max_bins"])
     binner.edges_ = [np.asarray(edges, dtype=float) for edges in payload["edges"]]
     return binner
+
+
+def _load_trees(items: list, binner: Binner, path) -> list[GradientTree]:
+    n_features = len(binner.edges_)
+    trees = []
+    for index, item in enumerate(items):
+        try:
+            trees.append(_tree_from_dict(item, n_features))
+        except ValueError as exc:
+            raise ValueError(f"{path}: tree {index}: {exc}") from exc
+    return trees
 
 
 def save_gbdt(model: GbdtClassifier, path: str | Path) -> Path:
@@ -83,7 +137,7 @@ def load_gbdt(path: str | Path) -> GbdtClassifier:
     model = GbdtClassifier(GbdtParams(**payload["params"]))
     model._bias = payload["bias"]
     model._binner = _binner_from_dict(payload["binner"])
-    model._trees = [_tree_from_dict(item) for item in payload["trees"]]
+    model._trees = _load_trees(payload["trees"], model._binner, path)
     model.best_iteration_ = len(model._trees)
     return model
 
@@ -115,8 +169,11 @@ def load_forest(path: str | Path) -> RandomForestClassifier:
         raise ValueError(f"not a repro forest artifact: {path}")
     model = RandomForestClassifier(RandomForestParams(**payload["params"]))
     model._binner = _binner_from_dict(payload["binner"])
+    trees = _load_trees(
+        [item["tree"] for item in payload["trees"]], model._binner, path
+    )
     model._trees = [
-        (_tree_from_dict(item["tree"]), np.asarray(item["features"], dtype=int))
-        for item in payload["trees"]
+        (tree, np.asarray(item["features"], dtype=int))
+        for tree, item in zip(trees, payload["trees"])
     ]
     return model

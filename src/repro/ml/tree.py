@@ -12,12 +12,16 @@ and the split gain is the standard XGBoost/LightGBM formula.  Plain
 regression trees (for Random Forest) are the special case ``g = -y, h = 1``,
 whose leaf value reduces to the label mean and whose gain reduces to
 variance reduction.
+
+Every prediction, of one tree or of a whole ensemble, runs through
+:class:`TreePack`: all trees walked together in one vectorised traversal.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +115,7 @@ class GradientTree:
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
         self.n_leaves = 0
+        self._pack: TreePack | None = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -123,6 +128,7 @@ class GradientTree:
     ) -> "GradientTree":
         """Grow the tree on gradients ``g`` and hessians ``h``."""
         params = self.params
+        self._pack = None
         binned = np.asarray(binned, dtype=np.uint8)
         g = np.asarray(g, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
@@ -283,17 +289,108 @@ class GradientTree:
         """Leaf values for pre-binned samples."""
         if self.feature is None:
             raise RuntimeError("tree not fitted")
-        binned = np.asarray(binned, dtype=np.uint8)
-        node = np.zeros(binned.shape[0], dtype=np.int32)
-        for _ in range(self.params.max_depth + 1):
-            feature = self.feature[node]
-            active = feature >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            feats = feature[rows]
-            go_left = binned[rows, feats] <= self.threshold[node[rows]]
-            node[rows] = np.where(
-                go_left, self.left[node[rows]], self.right[node[rows]]
-            )
-        return self.value[node]
+        if self._pack is None:
+            self._pack = TreePack([self])
+        return self._pack.leaf_values(binned)[:, 0]
+
+
+#: Rows x trees per traversal chunk (512 rows of a 256-tree ensemble).  It
+#: bounds the kernel's temporaries to 1 MiB each; on a 2-core x86-64 VM,
+#: 2,000- and 20,000-row batches ran ~30% slower with chunks four times
+#: larger, and no faster with smaller ones.
+_CHUNK_CELLS = 1 << 17
+
+
+class TreePack:
+    """An ensemble's trees packed into flat arrays for one joint traversal.
+
+    The trees' node arrays are concatenated, and every node is addressed
+    by its *slot* ``2 * node``: ``children[slot + go_right]`` is the slot of
+    the child a sample moves to.  A leaf's two children are the leaf
+    itself, so walking every (row, tree) pair for the ensemble's deepest
+    path needs no masking: samples that reach a leaf early stay on it.
+    ``leaf_map`` is applied once to the concatenated leaf values (e.g.
+    shrinkage or clipping), so the kernel only gathers.
+    """
+
+    def __init__(
+        self,
+        trees: Sequence[GradientTree],
+        leaf_map: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
+        sizes = np.array([len(tree.feature) for tree in trees], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        feature = np.concatenate([tree.feature for tree in trees])
+        internal = feature >= 0
+        node = np.arange(len(feature), dtype=np.intp)
+        base = np.repeat(offsets, sizes)
+        left = np.where(
+            internal, np.concatenate([tree.left for tree in trees]) + base, node
+        )
+        right = np.where(
+            internal, np.concatenate([tree.right for tree in trees]) + base, node
+        )
+        value = np.concatenate([tree.value for tree in trees])
+        if leaf_map is not None:
+            value = leaf_map(value)
+
+        # Slot-indexed tables: a node's fields sit at its even slot.  Bin
+        # thresholds fit uint8: fit splits below max_bins <= 255, and
+        # model_io rejects artifacts with thresholds outside [0, 255].
+        self._feature = np.repeat(np.where(internal, feature, 0).astype(np.intp), 2)
+        self._threshold = np.repeat(
+            np.concatenate([tree.threshold for tree in trees]).astype(np.uint8), 2
+        )
+        self._children = 2 * np.stack([left, right], axis=1).ravel()
+        self._value = np.repeat(value.astype(np.float64), 2)
+        self._roots = 2 * offsets
+        self.n_trees = len(trees)
+
+        # Deepest root-to-leaf path, one vectorised pass per level.
+        self.depth = 0
+        frontier = offsets[internal[offsets]]
+        while frontier.size:
+            self.depth += 1
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            frontier = frontier[internal[frontier]]
+
+    def _walk(self, binned: np.ndarray) -> np.ndarray:
+        """Leaf slots, shape ``(rows, n_trees)``, for one chunk of rows."""
+        rows, n_features = binned.shape
+        flat = binned.ravel()
+        row_base = np.arange(0, rows * n_features, n_features, dtype=np.intp)
+        slots = np.repeat(self._roots[None, :], rows, axis=0)
+        for _ in range(self.depth):
+            go_right = flat.take(row_base[:, None] + self._feature.take(slots))
+            go_right = go_right > self._threshold.take(slots)
+            slots = self._children.take(slots + go_right)
+        return slots
+
+    def _chunks(self, binned: np.ndarray):
+        binned = np.ascontiguousarray(binned, dtype=np.uint8)
+        step = max(1, _CHUNK_CELLS // self.n_trees)
+        for start in range(0, binned.shape[0], step):
+            yield start, binned[start : start + step]
+
+    def leaf_values(self, binned: np.ndarray) -> np.ndarray:
+        """Every tree's (mapped) leaf value per row, shape ``(rows, n_trees)``."""
+        out = np.empty((binned.shape[0], self.n_trees))
+        for start, chunk in self._chunks(binned):
+            out[start : start + len(chunk)] = self._value.take(self._walk(chunk))
+        return out
+
+    def accumulate(self, binned: np.ndarray, start: float) -> np.ndarray:
+        """``start + v_0 + v_1 + ...`` per row, added tree by tree.
+
+        ``np.cumsum`` adds along the tree axis strictly left to right, the
+        same float64 operations as ``raw += values_of_tree_t`` per tree, so
+        the sums are bit-identical to a one-tree-at-a-time loop.
+        """
+        out = np.empty(binned.shape[0])
+        for first, chunk in self._chunks(binned):
+            block = np.empty((len(chunk), self.n_trees + 1))
+            block[:, 0] = start
+            block[:, 1:] = self._value.take(self._walk(chunk))
+            np.cumsum(block, axis=1, out=block)
+            out[first : first + len(chunk)] = block[:, -1]
+        return out

@@ -1,5 +1,7 @@
 """Tests for model persistence, hyperparameter search and the cost model."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,13 +28,19 @@ class TestModelIo:
         X, gbdt, _ = fitted_models()
         path = save_gbdt(gbdt, tmp_path / "model.json")
         loaded = load_gbdt(path)
-        assert np.allclose(loaded.predict_proba(X), gbdt.predict_proba(X))
+        np.testing.assert_array_equal(
+            loaded.predict_proba(X).view(np.int64),
+            gbdt.predict_proba(X).view(np.int64),
+        )
 
     def test_forest_roundtrip_predicts_identically(self, tmp_path):
         X, _, forest = fitted_models()
         path = save_forest(forest, tmp_path / "forest.json")
         loaded = load_forest(path)
-        assert np.allclose(loaded.predict_proba(X), forest.predict_proba(X))
+        np.testing.assert_array_equal(
+            loaded.predict_proba(X).view(np.int64),
+            forest.predict_proba(X).view(np.int64),
+        )
 
     def test_unfitted_model_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):
@@ -44,6 +52,65 @@ class TestModelIo:
         with pytest.raises(ValueError):
             load_gbdt(path)
         with pytest.raises(ValueError):
+            load_forest(path)
+
+
+def _corrupt(path, mutate, forest=False):
+    """Rewrite the second tree of a saved artifact through ``mutate``."""
+    payload = json.loads(path.read_text())
+    item = payload["trees"][1]
+    mutate(item["tree"] if forest else item)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _first_internal(tree):
+    return next(i for i, feature in enumerate(tree["feature"]) if feature >= 0)
+
+
+def _set(field, value, node=_first_internal):
+    def mutate(tree):
+        tree[field][node(tree)] = value
+    return mutate
+
+
+def _empty(tree):
+    for field in ("feature", "threshold", "left", "right", "value"):
+        tree[field] = []
+
+
+CORRUPTIONS = {
+    "short_threshold": (lambda tree: tree["threshold"].pop(), "equal length"),
+    "empty_tree": (_empty, "non-empty"),
+    "feature_past_last": (_set("feature", 5), "feature index"),
+    "feature_below_leaf_marker": (_set("feature", -2), "feature index"),
+    "left_out_of_range": (_set("left", 10_000), "left child"),
+    "right_not_after_parent": (_set("right", 0), "right child"),
+    "threshold_over_255": (_set("threshold", 256), "threshold"),
+    "threshold_negative": (_set("threshold", -1), "threshold"),
+    "nan_value": (_set("value", float("nan"), node=lambda tree: 0), "non-finite"),
+    "inf_value": (_set("value", float("inf"), node=lambda tree: 0), "non-finite"),
+    "non_integer_index": (_set("left", "x"), "malformed"),
+}
+
+
+class TestModelIoRejectsCorruptTrees:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_gbdt_load_raises_value_error(self, tmp_path, name):
+        _, gbdt, _ = fitted_models()
+        mutate, message = CORRUPTIONS[name]
+        path = _corrupt(save_gbdt(gbdt, tmp_path / "model.json"), mutate)
+        with pytest.raises(ValueError, match=f"tree 1: .*{message}"):
+            load_gbdt(path)
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_forest_load_raises_value_error(self, tmp_path, name):
+        _, _, forest = fitted_models()
+        mutate, message = CORRUPTIONS[name]
+        path = _corrupt(
+            save_forest(forest, tmp_path / "forest.json"), mutate, forest=True
+        )
+        with pytest.raises(ValueError, match=f"tree 1: .*{message}"):
             load_forest(path)
 
 
