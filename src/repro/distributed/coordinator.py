@@ -9,7 +9,8 @@ event-bus traffic back into one :class:`FleetReport` that is
 
 * every replay decision is per-DIMM (min-CE gating, rescore throttle,
   alarm suppression window, incident lifecycle) and the model is
-  stateless across rows; workers run with the engine's
+  *row-wise*: a row's score does not depend on the other rows in its
+  ``predict_proba`` call (see below); workers run with the engine's
   ``coherent_flush`` mode so micro-batch flush timing — the one
   cross-DIMM coupling (admission consults the alarm state, incidents
   open at flush) — cannot leak between DIMMs, and a DIMM partition
@@ -35,6 +36,14 @@ event-bus traffic back into one :class:`FleetReport` that is
   micro-batch flush timing, so the deterministic canonical order is the
   distributed contract; the parity suite applies the same canonical
   pass to the single-process baseline when comparing settled costs.)
+
+The row-wise contract is what makes three results hold: N-worker
+identity, batched ≡ ``per_event``, and coherent mode's up-front scoring
+(every candidate scored in a few large blocks, not per flush).  The tree
+models meet it bit for bit.  ``FtTransformerClassifier`` does not: its
+matrix products round differently with the batch shape, so 200 rows
+scored one at a time and in one call differ by up to 2.2e-16 (one BLAS
+thread).  With it, the three results hold to that rounding only.
 
 Fault tolerance reuses the PR 7 machinery end to end: the process pool
 falls back to threads then inline on pool-level failures, a worker that
@@ -89,6 +98,8 @@ class PartitionOutcome:
     events: int = 0
     seconds: float = 0.0
     predict_seconds: float = 0.0
+    #: The worker engine's ``FleetReport.stage_seconds``.
+    stage_seconds: dict = field(default_factory=dict)
     #: platform -> {"alarms": AlarmManager, "score_log": [...], counters}.
     platforms: dict = field(default_factory=dict)
     #: The worker bus's traffic, in publish order.
@@ -175,6 +186,7 @@ def _replay_partition(payload: dict) -> PartitionOutcome:
         return outcome
     outcome.bus_counts = bus.counts()
     outcome.health = dict(report.health)
+    outcome.stage_seconds = dict(report.stage_seconds)
     if wobs is not None:
         # Plain dicts/lists only — pickles cleanly across the pool seam.
         outcome.obs_payload = wobs.payload()
@@ -190,6 +202,7 @@ def _replay_partition(payload: dict) -> PartitionOutcome:
             "mem_events": report.platforms[platform]["mem_events"],
             "scored": runtime.scored,
             "batches": runtime.batches,
+            "predicted": runtime.predicted,
             "scored_dimms": len(runtime.scored_dimms),
             "fallbacks": runtime.fallbacks(),
             "rebuilds": runtime.rebuilds(),
@@ -480,13 +493,16 @@ class ReplayCoordinator:
             )
             merged_logs[platform] = []
             totals[platform] = {
-                "scored": 0, "batches": 0, "scored_dimms": 0,
+                "scored": 0, "batches": 0, "predicted": 0, "scored_dimms": 0,
                 "fallbacks": 0, "rebuilds": 0, "rejected_events": 0,
                 "rejects": {},
             }
         predict_seconds = 0.0
+        stage_seconds: dict[str, float] = {}
         for outcome in ordered:
             predict_seconds += outcome.predict_seconds
+            for stage, seconds in outcome.stage_seconds.items():
+                stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
             for platform, part in outcome.platforms.items():
                 merged = merged_alarms[platform]
                 alarms: AlarmManager = part["alarms"]
@@ -501,6 +517,7 @@ class ReplayCoordinator:
                 total = totals[platform]
                 total["scored"] += part["scored"]
                 total["batches"] += part["batches"]
+                total["predicted"] += part["predicted"]
                 total["scored_dimms"] += part["scored_dimms"]
                 total["fallbacks"] += part["fallbacks"]
                 total["rebuilds"] += part["rebuilds"]
@@ -521,7 +538,7 @@ class ReplayCoordinator:
 
         apply_policy(self.policy, merged_alarms, global_stream.end_hours)
 
-        report = FleetReport(engine=self.engine)
+        report = FleetReport(engine=self.engine, stage_seconds=stage_seconds)
         summaries = []
         for platform in platforms:
             alarms = merged_alarms[platform]
@@ -549,6 +566,7 @@ class ReplayCoordinator:
                 "mem_events": counts["events"],
                 "scored": total["scored"],
                 "batches": total["batches"],
+                "predicted": total["predicted"],
                 "scored_dimms": total["scored_dimms"],
                 "fallbacks": total["fallbacks"],
                 "alarms": alarms.summary(live_from),

@@ -14,7 +14,7 @@ into per-platform and fleet-wide interruption-cost summaries.
 
 Per-platform scoring is bit-for-bit identical to running that platform
 alone through ``ReplayEngine`` (same scoring schedule, same incremental
-feature values, same stateless model): the merged stream preserves each
+feature values, same row-wise model): the merged stream preserves each
 platform's replay order, queues are per-platform, and a UE flushes only
 its own platform's queue.  The parity suite pins this down.
 
@@ -61,6 +61,10 @@ from repro.streaming.incremental import IncrementalFeatureExtractor
 from repro.streaming.kernels import ReplayKernel
 from repro.streaming.replay import REPLAY_ENGINES
 
+#: Candidate rows per ``features_for`` / ``predict_proba`` call when a
+#: coherent-flush replay scores every candidate up front.
+SCORE_BLOCK = 4096
+
 
 class _ColumnsStore:
     """Just enough of a LogStore for re-merging: a ``.columns`` attribute.
@@ -103,8 +107,8 @@ class _PlatformRuntime:
         "last_scored", "scored_dimms", "pending", "pending_dimms",
         "retired_fallbacks",
         "retired_rebuilds", "dimm_name", "server_name", "configs",
-        "threshold", "live_from", "scored", "batches", "predict_seconds",
-        "matrix_buf",
+        "threshold", "live_from", "scored", "batches", "predicted",
+        "predict_seconds", "matrix_buf",
     )
 
     def __init__(self, assignment: ServingAssignment, alarms: AlarmManager):
@@ -124,6 +128,9 @@ class _PlatformRuntime:
         self.live_from = float(assignment.live_from_hour)
         self.scored = 0
         self.batches = 0
+        #: Rows passed to ``predict_proba``; exceeds ``scored`` when
+        #: candidates are scored up front (coherent flush).
+        self.predicted = 0
         self.predict_seconds = 0.0
         self.matrix_buf: np.ndarray | None = None
 
@@ -149,7 +156,9 @@ class FleetReport:
     events_per_second: float = 0.0
     scored: int = 0
     engine: str = "per_event"
-    #: Wall seconds by stage (same keys as ``StreamingReport``).
+    #: Wall seconds by stage (same keys as ``StreamingReport``).  A
+    #: coordinator report sums its workers' stages, like CPU-seconds, so
+    #: their total can exceed ``seconds``.
     stage_seconds: dict = field(default_factory=dict)
     platforms: dict = field(default_factory=dict)  # platform -> report dict
     actions: dict = field(default_factory=dict)  # PolicyEngine.summary()
@@ -239,7 +248,9 @@ class FleetReplayEngine:
         #: own score history only — a DIMM-sharded replay reproduces the
         #: full run bit-for-bit at any ``batch_size``.  The distributed
         #: coordinator turns this on in its workers AND in the
-        #: single-process baseline it is gated against.
+        #: single-process baseline it is gated against.  The batched
+        #: engine then scores every candidate in one up-front pass, since
+        #: coherent flushes are only a few rows each.
         self.coherent_flush = bool(coherent_flush)
         #: Fleet-global end hours overriding the stream's own (set by the
         #: distributed coordinator: a DIMM partition's local stream ends
@@ -434,6 +445,7 @@ class FleetReplayEngine:
                 rt.retired_rebuilds = snap["retired_rebuilds"][i]
                 rt.scored = snap["scored"][i]
                 rt.batches = snap["batches"][i]
+                rt.predicted = snap["predicted"][i]
             self.policy = snap["policy"]
             self.score_logs = snap["score_logs"]
             self.bus.restore_counts(ckpt.resume_state["bus_counts"])
@@ -484,6 +496,7 @@ class FleetReplayEngine:
                         ],
                         "scored": [rt.scored for rt in runtimes],
                         "batches": [rt.batches for rt in runtimes],
+                        "predicted": [rt.predicted for rt in runtimes],
                         "policy": self.policy,
                         "score_logs": self.score_logs,
                     },
@@ -604,6 +617,14 @@ class FleetReplayEngine:
         candidate; the walk then covers only candidates and UEs, merged
         with the same (time, kind, platform) keys as the full stream so
         every sequential decision lands in the per-event order.
+
+        With ``coherent_flush`` every candidate is scored up front and a
+        flush only gathers its rows' scores.  Otherwise each flush
+        extracts and scores its own rows, because the rescore throttle
+        and incident blocking leave most candidates unserved.  The walk,
+        flush points and alarm order are the same either way, so for a
+        row-wise model (a row's score does not depend on the other rows
+        in its ``predict_proba`` call) the outputs are identical.
         """
         rescore = self.rescore_interval_hours
         batch_size = self.batch_size
@@ -623,6 +644,13 @@ class FleetReplayEngine:
                 )
                 for platform, rt in zip(stream.platforms, runtimes)
             ]
+        # Like the kernels, the up-front scores are a function of the
+        # stores and models: a resumed run recomputes them, and no
+        # snapshot carries them.
+        scores_by = [
+            self._score_candidates(rt, kernel, report) if coherent else None
+            for rt, kernel in zip(runtimes, kernels)
+        ]
 
         # Global candidate/UE selection in merged-stream order.  Stability
         # of the lexsort keeps each platform's CE-table order on ties, so
@@ -675,6 +703,9 @@ class FleetReplayEngine:
                 rt.pending_dimms = {entry[0] for entry in rt.pending}
                 rt.scored = snap["scored"][i]
                 rt.batches = snap["batches"][i]
+                # Overwrites the up-front pass's count with the same
+                # figure: the halted run scored the same candidates.
+                rt.predicted = snap["predicted"][i]
             self.policy = policy = snap["policy"]
             self.score_logs = snap["score_logs"]
             blocked_until_by = snap["blocked_until"]
@@ -707,6 +738,7 @@ class FleetReplayEngine:
                         "served_fallbacks": served_fallbacks,
                         "scored": [rt.scored for rt in runtimes],
                         "batches": [rt.batches for rt in runtimes],
+                        "predicted": [rt.predicted for rt in runtimes],
                         "policy": self.policy,
                         "score_logs": self.score_logs,
                     },
@@ -751,7 +783,9 @@ class FleetReplayEngine:
                 if coherent and dimm_id in pending_dimms_by[p]:
                     # Settle the queue so this DIMM's earlier score can
                     # open its incident before we gate the new candidate.
-                    self._flush_batched(runtimes[p], kernels[p], report)
+                    self._flush_batched(
+                        runtimes[p], kernels[p], scores_by[p], report
+                    )
                 alarms = alarms_by[p]
                 if alarms.blocked(dimm_id, t):
                     if fast_alarms[p]:
@@ -766,14 +800,16 @@ class FleetReplayEngine:
                 pending_dimms_by[p].add(dimm_id)
                 pending.append((dimm_id, t, row_of_by[p][index]))
                 if len(pending) >= batch_size:
-                    self._flush_batched(runtimes[p], kernels[p], report)
+                    self._flush_batched(
+                        runtimes[p], kernels[p], scores_by[p], report
+                    )
             else:
                 rt = runtimes[p]
                 if rt.pending:
                     # Settle this platform's queued scores so alarm-vs-
                     # failure ordering holds; other platforms' queues are
                     # untouched (their DIMMs are unaffected by this UE).
-                    self._flush_batched(rt, kernels[p], report)
+                    self._flush_batched(rt, kernels[p], scores_by[p], report)
                 cache = dimm_cache_by[p]
                 dimm_id = cache.get(code)
                 if dimm_id is None:
@@ -785,9 +821,9 @@ class FleetReplayEngine:
                 rt.last_scored.pop(code, None)
                 if policy is not None:
                     policy.advance(t)
-        for rt, kernel in zip(runtimes, kernels):
+        for rt, kernel, scores in zip(runtimes, kernels, scores_by):
             if rt.pending:
-                self._flush_batched(rt, kernel, report)
+                self._flush_batched(rt, kernel, scores, report)
         report.seconds = time.perf_counter() - start
         report.stage_seconds["alarms"] += alarm_seconds
         for rt, count in zip(runtimes, served_fallbacks):
@@ -810,31 +846,65 @@ class FleetReplayEngine:
         matrix = self._buffer(rt, n, pending[0][2].shape[0])[:n]
         for i, (_, _, features) in enumerate(pending):
             matrix[i] = features
-        self._score_batch(rt, matrix, report)
+        self._apply_scores(rt, self._predict(rt, matrix), report)
 
     def _flush_batched(
-        self, rt: _PlatformRuntime, kernel: ReplayKernel, report: FleetReport
+        self,
+        rt: _PlatformRuntime,
+        kernel: ReplayKernel,
+        scores: np.ndarray | None,
+        report: FleetReport,
     ) -> None:
-        """Materialise one batched micro-batch's features, score, alarm."""
+        """Score one batched micro-batch, or gather its up-front scores."""
         pending = rt.pending
-        n = len(pending)
-        buf = self._buffer(rt, n, kernel.n_features)
         rows = np.fromiter(
-            (row for _, _, row in pending), dtype=np.int64, count=n
+            (row for _, _, row in pending), dtype=np.int64, count=len(pending)
         )
-        t0 = time.perf_counter()
-        matrix = kernel.features_for(rows, out=buf[:n])
-        report.stage_seconds["features"] += time.perf_counter() - t0
-        self._score_batch(rt, matrix, report)
+        if scores is None:
+            batch = self._predict(rt, self._features(rt, kernel, rows, report))
+        else:
+            batch = scores[rows]
+        self._apply_scores(rt, batch, report)
 
-    def _score_batch(
-        self, rt: _PlatformRuntime, matrix: np.ndarray, report: FleetReport
-    ) -> None:
-        pending = rt.pending
+    def _score_candidates(
+        self, rt: _PlatformRuntime, kernel: ReplayKernel, report: FleetReport
+    ) -> np.ndarray:
+        """Every candidate query row's score, in blocks of ``SCORE_BLOCK``."""
+        n = kernel.n_queries
+        scores = np.empty(n)
+        for lo in range(0, n, SCORE_BLOCK):
+            rows = np.arange(lo, min(lo + SCORE_BLOCK, n))
+            scores[lo : lo + rows.size] = self._predict(
+                rt, self._features(rt, kernel, rows, report)
+            )
+        return scores
+
+    def _features(
+        self,
+        rt: _PlatformRuntime,
+        kernel: ReplayKernel,
+        rows: np.ndarray,
+        report: FleetReport,
+    ) -> np.ndarray:
+        buf = self._buffer(rt, rows.size, kernel.n_features)
+        t0 = time.perf_counter()
+        matrix = kernel.features_for(rows, out=buf[: rows.size])
+        report.stage_seconds["features"] += time.perf_counter() - t0
+        return matrix
+
+    def _predict(self, rt: _PlatformRuntime, matrix: np.ndarray):
         t0 = time.perf_counter()
         scores = rt.assignment.model.predict_proba(matrix)
-        t1 = time.perf_counter()
-        rt.predict_seconds += t1 - t0
+        rt.predict_seconds += time.perf_counter() - t0
+        rt.predicted += len(matrix)
+        return scores
+
+    def _apply_scores(
+        self, rt: _PlatformRuntime, scores, report: FleetReport
+    ) -> None:
+        """Log the pending queue's scores, raise alarms, clear the queue."""
+        pending = rt.pending
+        t0 = time.perf_counter()
         threshold = rt.threshold
         platform = rt.assignment.platform
         policy = self.policy
@@ -849,7 +919,7 @@ class FleetReplayEngine:
                     policy.on_incident(platform, incident)
         rt.scored += len(pending)
         rt.batches += 1
-        report.stage_seconds["alarms"] += time.perf_counter() - t1
+        report.stage_seconds["alarms"] += time.perf_counter() - t0
         pending.clear()
         rt.pending_dimms.clear()
 
@@ -902,6 +972,7 @@ class FleetReplayEngine:
                 "mem_events": counts["events"],
                 "scored": rt.scored,
                 "batches": rt.batches,
+                "predicted": rt.predicted,
                 "scored_dimms": len(rt.scored_dimms),
                 "fallbacks": rt.fallbacks(),
                 "alarms": alarm_summary,

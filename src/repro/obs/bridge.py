@@ -20,6 +20,7 @@ repro_replay_ues_total                  counter    platform, model, engine
 repro_replay_mem_events_total           counter    platform, model, engine
 repro_replay_scored_total               counter    platform, model, engine
 repro_replay_batches_total              counter    platform, model, engine
+repro_replay_predicted_total            counter    platform, model, engine
 repro_replay_fallback_scores_total      counter    platform, model, engine
 repro_replay_late_rebuilds_total        counter    platform, model, engine
 repro_replay_stage_seconds_total        counter    stage + the above
@@ -238,7 +239,8 @@ class Observability:
             "ues": "Uncorrectable errors replayed.",
             "mem_events": "Non-CE/UE memory events replayed.",
             "scored": "Model scores produced.",
-            "batches": "Micro-batches flushed to the model.",
+            "batches": "Micro-batch flushes.",
+            "predicted": "Rows passed to the model's predict_proba.",
             "fallback_scores": "Degraded (model-free) scores served.",
             "late_rebuilds": "Late out-of-order state rebuilds.",
         }
@@ -305,6 +307,7 @@ class Observability:
                     "mem_events": per.get("mem_events", 0),
                     "scored": per.get("scored", 0),
                     "batches": per.get("batches", 0),
+                    "predicted": per.get("predicted", 0),
                     "fallback_scores": per.get("fallbacks", 0),
                 })
                 self._record_replay_ledgers(

@@ -385,6 +385,8 @@ class ReplayKernel:
         self._q_seg = seg_ids_sorted[self._q_pos]
         self._q_hi = self._q_pos + 1
         n_q = self._q_pos.size
+        #: Scoring candidates: the query rows :meth:`features_for` takes.
+        self.n_queries = int(n_q)
 
         #: CE-table masks / feature-row map the replay loop consumes.
         table_idx = seg_order[self._q_pos]

@@ -30,12 +30,25 @@ def make_coordinator(assignments, make_fleet_policy, **kwargs):
 
 class TestReplayParity:
     def test_two_workers_match_single_process(
-        self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check
+        self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check,
+        parity_baseline,
     ):
         coordinator = make_coordinator(fleet_assignments, make_fleet_policy)
         report = coordinator.replay(fleet_stores)
         parity_check(coordinator, report)
         assert report.distributed["partitions"] == 2
+        for name, platform in report.platforms.items():
+            # Candidates are per-DIMM: the workers score the same rows.
+            baseline = parity_baseline["platforms"][name]
+            assert platform["predicted"] == baseline["predicted"]
+            assert platform["predicted"] >= platform["scored"]
+        # The workers' stages, summed.
+        assert set(report.stage_seconds) == {
+            "ingest", "features", "predict", "alarms"
+        }
+        assert report.stage_seconds["predict"] == pytest.approx(
+            report.predict_seconds
+        )
 
     def test_three_workers_match_single_process(
         self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check

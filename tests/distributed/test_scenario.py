@@ -9,6 +9,7 @@ import pytest
 from repro.experiments.cache import ArtifactCache, ShardSetKey, SimulationKey
 from repro.experiments.runner import RunContext, run_spec
 from repro.experiments.spec import RunSpec
+from repro.fleetops.scenario import render_fleet_extras
 
 
 def tiny_spec(tiny_protocol, scenario="distributed_replay", **params):
@@ -93,6 +94,10 @@ class TestWorkersParams:
         assert report["distributed"]["workers"] == 2
         assert report["distributed"]["partitions"] == 2
         assert report["scored"] > 0
+        assert set(report["stage_seconds"]) == {
+            "ingest", "features", "predict", "alarms"
+        }
+        assert "  stages: " in render_fleet_extras(result.extras)
 
     def test_streaming_verify_rejects_workers(self, tiny_protocol):
         spec = RunSpec(

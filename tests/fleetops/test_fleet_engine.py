@@ -8,6 +8,7 @@ from repro.experiments.runner import RunContext, run_spec
 from repro.experiments.spec import RunSpec
 from repro.features.labeling import LabelingParams
 from repro.features.pipeline import FeaturePipeline
+from repro.fleetops import engine as fleet_engine
 from repro.fleetops.engine import FleetReplayEngine, ServingAssignment
 from repro.fleetops.policy import ActionBudget, PolicyEngine
 from repro.fleetops.stream import UndecodedStreamError, merge_fleet_streams
@@ -22,6 +23,17 @@ class _EchoModel:
         return 1.0 / (1.0 + np.exp(-X.sum(axis=1) / 100.0))
 
 
+class _CountingEchoModel(_EchoModel):
+    """Records the row count of every ``predict_proba`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict_proba(self, X):
+        self.calls.append(len(X))
+        return super().predict_proba(X)
+
+
 @pytest.fixture(scope="module")
 def fitted_fleet(tiny_study):
     pipelines = {}
@@ -32,7 +44,7 @@ def fitted_fleet(tiny_study):
     return pipelines
 
 
-def _assignments(tiny_study, pipelines, live_fraction=0.6):
+def _assignments(tiny_study, pipelines, live_fraction=0.6, models=None):
     model = _EchoModel()
     assignments = {}
     for name, simulation in tiny_study.items():
@@ -40,7 +52,7 @@ def _assignments(tiny_study, pipelines, live_fraction=0.6):
             platform=name,
             model_name="echo",
             train_platform=name,
-            model=model,
+            model=models[name] if models else model,
             threshold=THRESHOLD,
             pipeline=pipelines[name],
             configs=simulation.store.configs,
@@ -49,9 +61,11 @@ def _assignments(tiny_study, pipelines, live_fraction=0.6):
     return assignments
 
 
-def _fleet_replay(tiny_study, pipelines, stream_kwargs=None, **kwargs):
+def _fleet_replay(
+    tiny_study, pipelines, stream_kwargs=None, models=None, **kwargs
+):
     stores = {name: sim.store for name, sim in tiny_study.items()}
-    assignments = _assignments(tiny_study, pipelines)
+    assignments = _assignments(tiny_study, pipelines, models=models)
     defaults = dict(
         labeling=LabelingParams(),
         policy=PolicyEngine(budget=ActionBudget(), seed=7),
@@ -131,13 +145,22 @@ class TestMergedParity:
         assert second_report.fleet_cost == first_report.fleet_cost
         assert second_report.actions == first_report.actions
 
+    @pytest.mark.parametrize("coherent_flush", [False, True])
     def test_batched_engine_matches_per_event(
-        self, tiny_study, fitted_fleet, merged
+        self, tiny_study, fitted_fleet, coherent_flush, monkeypatch
     ):
-        batched_engine, batched_report, _ = merged
+        # Small flushes and small scoring blocks: coherent mode's
+        # up-front pass crosses block edges and serves many flushes, and
+        # the per-flush per_event engine is its oracle.
+        monkeypatch.setattr(fleet_engine, "SCORE_BLOCK", 64)
+        models = {name: _CountingEchoModel() for name in tiny_study}
+        kwargs = dict(batch_size=3, coherent_flush=coherent_flush)
+        batched_engine, batched_report, _ = _fleet_replay(
+            tiny_study, fitted_fleet, models=models, **kwargs
+        )
         assert batched_report.engine == "batched"
         pe_engine, pe_report, _ = _fleet_replay(
-            tiny_study, fitted_fleet, engine="per_event"
+            tiny_study, fitted_fleet, engine="per_event", **kwargs
         )
         assert pe_report.engine == "per_event"
         for name in tiny_study:
@@ -154,6 +177,19 @@ class TestMergedParity:
         assert set(batched_report.stage_seconds) == {
             "ingest", "features", "predict", "alarms"
         }
+        for name, model in models.items():
+            platform = batched_report.platforms[name]
+            assert platform["predicted"] == sum(model.calls)
+            assert platform["predicted"] >= platform["scored"]
+            assert pe_report.platforms[name]["predicted"] == platform["scored"]
+            if coherent_flush:
+                # One call per scoring block, however many flushes.
+                blocks = -(-platform["predicted"] // 64)
+                assert len(model.calls) == blocks
+                assert platform["batches"] > blocks
+            else:
+                assert len(model.calls) == platform["batches"]
+                assert platform["predicted"] == platform["scored"]
 
     def test_per_event_engine_rejects_manifest_stream(
         self, tiny_study, fitted_fleet
