@@ -1,11 +1,13 @@
-"""Checkpoint/resume plumbing for the replay engines.
+"""Checkpoint/resume plumbing for the replay walker.
 
-A checkpoint is ONE atomically-written pickle (tmp file + ``os.replace``)
-with this layout::
+Every replay — a fleet, a single platform (a fleet of one) or a
+distributed worker's partition — checkpoints through
+:class:`~repro.fleetops.engine.FleetReplayEngine`.  A checkpoint is ONE
+atomically-written pickle (tmp file + ``os.replace``) with this layout::
 
     {
       "version":   CHECKPOINT_VERSION,
-      "kind":      "replay" | "fleet",       # which engine class wrote it
+      "kind":      "fleet",                  # the state layout that wrote it
       "engine":    "batched" | "per_event",  # which walk the position indexes
       "position":  int,   # merged-walk entries already processed
       "state":     bytes, # inner pickle of the engine's mutable state
@@ -13,11 +15,14 @@ with this layout::
     }
 
 ``state`` is a *single* inner ``pickle.dumps`` of every piece of mutable
-decision state — incremental window states, the feature extractor, the
-alarm ledger (with its unpicklable EventBus detached), pending micro-batch
-queues, rescore throttles, score logs, the fleet policy engine with its
-RNG — so shared references (states -> extractor caches, policy actions ->
-alarm incidents) survive the round trip.  Everything *derivable* from the
+decision state — incremental window states, the feature extractors, the
+alarm ledgers (with their unpicklable EventBus detached), pending
+micro-batch queues, rescore throttles, score logs, parity counters, the
+fleet policy engine with its RNG — so shared references (states ->
+extractor caches, policy actions -> alarm incidents) survive the round
+trip.  A payload of another ``kind`` (such as the retired
+single-platform ``"replay"`` layout) is refused with a ``ValueError``
+before any state is read.  Everything *derivable* from the
 input store (replay kernels, walk orders, vocabularies) is deliberately
 NOT stored: the engines rebuild it deterministically on resume and skip
 the first ``position`` walk entries.

@@ -10,7 +10,8 @@ For every (platform, model) pair the scenario
    corruption, per-server collector outages) and the corrupted stream is
    replayed through a fresh :class:`~repro.streaming.replay.ReplayEngine`
    — corrupt records land on the bus dead-letter topic instead of
-   crashing the walk, and
+   crashing the walk (with obs on, every metric of the point, bus
+   counters included, carries its ``fault_rate`` label), and
 3. reports, per point, alarm-level precision/recall, the degradation
    health counters, the dead-letter count, and the settled
    :class:`~repro.fleetops.cost.CostModel` economics — the cost
@@ -43,8 +44,6 @@ from repro.evaluation.experiment import MODEL_BUILDERS, ModelResult
 from repro.experiments.registry import register_scenario
 from repro.experiments.results import Cell
 from repro.features.pipeline import FeaturePipeline, FeaturePipelineConfig
-from repro.fleetops.cost import CostModel
-from repro.fleetops.engine import _NULL_POLICY
 from repro.ml.virr import virr
 from repro.obs.alerts import DEFAULT_REPLAY_RULES, AlertEngine
 from repro.streaming.bus import EventBus
@@ -161,9 +160,6 @@ def chaos_replay(ctx):
                     heartbeat_every=heartbeat_every,
                 )
                 report = engine.replay(store, model_name=model_name)
-                cost, _ = CostModel().settle(
-                    platform, engine.alarms, _NULL_POLICY, split_hour
-                )
                 health = dict(report.health)
                 health["outage_seconds"] = injection.outage_seconds
                 curve.append(
@@ -174,7 +170,7 @@ def chaos_replay(ctx):
                         "dead_letter": report.bus_counts.get(
                             DEAD_LETTER_TOPIC, 0
                         ),
-                        "cost": cost.to_dict(),
+                        "cost": engine.cost.to_dict(),
                         "injection": injection.to_dict(),
                         "report": report.to_dict(),
                     }

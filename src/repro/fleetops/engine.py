@@ -1,25 +1,24 @@
-"""Fleet replay engine: one pass over a heterogeneous multi-platform fleet.
+"""Fleet replay engine: the one replay walker, for one platform or many.
 
-The :class:`FleetReplayEngine` is the multi-platform sibling of
-:class:`~repro.streaming.replay.ReplayEngine`: it consumes ONE
+The :class:`FleetReplayEngine` consumes ONE
 :class:`~repro.fleetops.stream.MergedFleetStream` covering every platform
 and keeps one *serving runtime* per platform — incremental feature state,
 alarm manager, micro-batch queue, and a routed production model that may
 have been trained on a *different* CPU architecture (the transfer-matrix
-serving story).  On top of PR 4's replay semantics it adds the
-incident-aware mitigation loop: every opened incident is handed to the
+serving story).  Every opened incident can be handed to a
 :class:`~repro.fleetops.policy.PolicyEngine`, and at the end the
 :class:`~repro.fleetops.cost.CostModel` settles dispositions x actions
-into per-platform and fleet-wide interruption-cost summaries.
+into per-platform and fleet-wide interruption-cost summaries.  A
+single-platform replay (:class:`~repro.streaming.replay.ReplayEngine`)
+is this engine over a one-platform stream.
 
-Per-platform scoring is bit-for-bit identical to running that platform
-alone through ``ReplayEngine`` (same scoring schedule, same incremental
-feature values, same row-wise model): the merged stream preserves each
-platform's replay order, queues are per-platform, and a UE flushes only
-its own platform's queue.  The parity suite pins this down.
+Per-platform scoring is bit-for-bit identical to replaying that platform
+alone (same scoring schedule, same incremental feature values, same
+row-wise model): the merged stream preserves each platform's replay
+order, queues are per-platform, and a UE flushes only its own platform's
+queue.  The parity suite pins this down.
 
-Like the single-platform engine, two interchangeable engines drive the
-same decision loop:
+Two interchangeable engines drive the same decision loop:
 
 * ``engine="batched"`` (default) — one
   :class:`~repro.streaming.kernels.ReplayKernel` per platform precomputes
@@ -97,6 +96,10 @@ class ServingAssignment:
     pipeline: object  # fitted FeaturePipeline (the platform's feature space)
     configs: dict
     live_from_hour: float = 0.0
+    #: Alarms start here (``None``: at ``live_from_hour``).  The lifecycle
+    #: scores from hour zero to warm its rescore throttle but only alarms
+    #: once the model is deployed.
+    alarm_from_hour: float | None = None
 
 
 class _PlatformRuntime:
@@ -107,8 +110,9 @@ class _PlatformRuntime:
         "last_scored", "scored_dimms", "pending", "pending_dimms",
         "retired_fallbacks",
         "retired_rebuilds", "dimm_name", "server_name", "configs",
-        "threshold", "live_from", "scored", "batches", "predicted",
-        "predict_seconds", "matrix_buf",
+        "threshold", "live_from", "alarm_from", "scored", "batches",
+        "predicted", "predict_seconds", "matrix_buf", "parity_checked",
+        "parity_mismatches",
     )
 
     def __init__(self, assignment: ServingAssignment, alarms: AlarmManager):
@@ -126,6 +130,10 @@ class _PlatformRuntime:
         self.configs = assignment.configs
         self.threshold = float(assignment.threshold)
         self.live_from = float(assignment.live_from_hour)
+        self.alarm_from = (
+            self.live_from if assignment.alarm_from_hour is None
+            else float(assignment.alarm_from_hour)
+        )
         self.scored = 0
         self.batches = 0
         #: Rows passed to ``predict_proba``; exceeds ``scored`` when
@@ -133,6 +141,10 @@ class _PlatformRuntime:
         self.predicted = 0
         self.predict_seconds = 0.0
         self.matrix_buf: np.ndarray | None = None
+        #: Served vectors cross-checked against the reference, and how
+        #: many differed (``verify_parity`` only).
+        self.parity_checked = 0
+        self.parity_mismatches = 0
 
     def fallbacks(self) -> int:
         return self.retired_fallbacks + sum(
@@ -219,7 +231,10 @@ class FleetReplayEngine:
         collect_scores: bool = False,
         end_hours: dict[str, float] | None = None,
         coherent_flush: bool = False,
+        score_hook=None,
+        verify_parity: bool = False,
         obs=None,
+        obs_labels: dict | None = None,
         heartbeat_every: int = 0,
     ):
         if not assignments:
@@ -228,6 +243,11 @@ class FleetReplayEngine:
             raise ValueError(
                 f"unknown replay engine {engine!r}; expected one of "
                 f"{REPLAY_ENGINES}"
+            )
+        if score_hook is not None and coherent_flush:
+            raise ValueError(
+                "score_hook needs per-flush feature matrices; coherent_flush "
+                "scores every candidate up front"
             )
         self.engine = engine
         self.assignments = dict(assignments)
@@ -257,6 +277,13 @@ class FleetReplayEngine:
         #: earlier than the fleet, which would skew incident expiry and
         #: censoring against the single-process run).
         self.end_hours = dict(end_hours) if end_hours else None
+        #: Per-score callback ``(dimm_id, t, features, score)`` run in
+        #: flush order (drift monitors, dashboards).
+        self.score_hook = score_hook
+        #: Cross-check every served vector against the reference: the
+        #: per-event walk against ``FeaturePipeline.transform_one``, the
+        #: batched engine against ``ReplayKernel.reference_for_query``.
+        self.verify_parity = bool(verify_parity)
         #: ``platform -> [(dimm_id, t, score)]`` when ``collect_scores``.
         self.score_logs: dict[str, list] = {}
         #: Populated by :meth:`replay`.
@@ -267,6 +294,9 @@ class FleetReplayEngine:
         #: at stage granularity only and instruments are filled from the
         #: finished report, so instrumented replays stay bit-identical.
         self.obs = obs
+        #: Extra metric labels and root-span attributes for this run
+        #: (the chaos sweep's ``fault_rate``).
+        self.obs_labels = dict(obs_labels or {})
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         #: Publish a live heartbeat snapshot every N processed walk
         #: entries (0 = off).  Event-count based, never wall-clock, so
@@ -313,8 +343,12 @@ class FleetReplayEngine:
 
         Malformed records are quarantined per platform before the walk (the
         re-merged stream stays bit-identical when nothing is rejected).
-        The checkpoint knobs mirror :meth:`ReplayEngine.replay`: a halted or
-        killed fleet replay resumed from its snapshot reproduces the
+        ``checkpoint_every`` + ``checkpoint_path`` write a snapshot every N
+        processed walk entries; ``resume_from`` restores one and skips the
+        already-processed prefix; ``halt_after`` stops this call after N
+        entries (writing a final snapshot when a path is set) and returns a
+        partial report with ``halted=True`` — the deterministic stand-in
+        for a killed process.  A resumed replay reproduces the
         uninterrupted run's score logs, alarms, actions and cost digests.
         """
         missing = set(stream.platforms) - set(self.assignments)
@@ -332,6 +366,7 @@ class FleetReplayEngine:
             "fleet_replay",
             engine=self.engine,
             platforms=",".join(stream.platforms),
+            **self.obs_labels,
         ) as root:
             rejects: dict[str, object] = {}
             filtered: dict[str, _ColumnsStore] = {}
@@ -409,7 +444,7 @@ class FleetReplayEngine:
                 events=report.events, scored=report.scored, halted=False
             )
         if self.obs is not None:
-            self.obs.record_fleet_report(report)
+            self.obs.record_fleet_report(report, self.obs_labels)
         return report
 
     def _replay_per_event(
@@ -423,6 +458,7 @@ class FleetReplayEngine:
         rescore = self.rescore_interval_hours
         batch_size = self.batch_size
         coherent = self.coherent_flush
+        verify = self.verify_parity
         feature_seconds = 0.0
         alarm_seconds = 0.0
 
@@ -446,6 +482,7 @@ class FleetReplayEngine:
                 rt.scored = snap["scored"][i]
                 rt.batches = snap["batches"][i]
                 rt.predicted = snap["predicted"][i]
+                rt.parity_checked, rt.parity_mismatches = snap["parity"][i]
             self.policy = snap["policy"]
             self.score_logs = snap["score_logs"]
             self.bus.restore_counts(ckpt.resume_state["bus_counts"])
@@ -497,6 +534,10 @@ class FleetReplayEngine:
                         "scored": [rt.scored for rt in runtimes],
                         "batches": [rt.batches for rt in runtimes],
                         "predicted": [rt.predicted for rt in runtimes],
+                        "parity": [
+                            (rt.parity_checked, rt.parity_mismatches)
+                            for rt in runtimes
+                        ],
                         "policy": self.policy,
                         "score_logs": self.score_logs,
                     },
@@ -552,6 +593,14 @@ class FleetReplayEngine:
                 t0 = time.perf_counter()
                 features = serve_by[p](state, config, t)
                 feature_seconds += time.perf_counter() - t0
+                if verify:
+                    rt = runtimes[p]
+                    rt.parity_checked += 1
+                    reference = rt.assignment.pipeline.transform_one(
+                        state.history_view(), config, t
+                    )
+                    if not np.array_equal(features, reference):
+                        rt.parity_mismatches += 1
                 last_scored_by[p][code] = t
                 scored_dimms_by[p].add(code)
                 pending = pending_by[p]
@@ -703,9 +752,10 @@ class FleetReplayEngine:
                 rt.pending_dimms = {entry[0] for entry in rt.pending}
                 rt.scored = snap["scored"][i]
                 rt.batches = snap["batches"][i]
-                # Overwrites the up-front pass's count with the same
-                # figure: the halted run scored the same candidates.
+                # Overwrites the up-front pass's counts with the same
+                # figures: the halted run scored the same candidates.
                 rt.predicted = snap["predicted"][i]
+                rt.parity_checked, rt.parity_mismatches = snap["parity"][i]
             self.policy = policy = snap["policy"]
             self.score_logs = snap["score_logs"]
             blocked_until_by = snap["blocked_until"]
@@ -739,6 +789,10 @@ class FleetReplayEngine:
                         "scored": [rt.scored for rt in runtimes],
                         "batches": [rt.batches for rt in runtimes],
                         "predicted": [rt.predicted for rt in runtimes],
+                        "parity": [
+                            (rt.parity_checked, rt.parity_mismatches)
+                            for rt in runtimes
+                        ],
                         "policy": self.policy,
                         "score_logs": self.score_logs,
                     },
@@ -846,7 +900,7 @@ class FleetReplayEngine:
         matrix = self._buffer(rt, n, pending[0][2].shape[0])[:n]
         for i, (_, _, features) in enumerate(pending):
             matrix[i] = features
-        self._apply_scores(rt, self._predict(rt, matrix), report)
+        self._apply_scores(rt, self._predict(rt, matrix), report, matrix)
 
     def _flush_batched(
         self,
@@ -861,10 +915,12 @@ class FleetReplayEngine:
             (row for _, _, row in pending), dtype=np.int64, count=len(pending)
         )
         if scores is None:
-            batch = self._predict(rt, self._features(rt, kernel, rows, report))
+            matrix = self._features(rt, kernel, rows, report)
+            batch = self._predict(rt, matrix)
         else:
+            matrix = None
             batch = scores[rows]
-        self._apply_scores(rt, batch, report)
+        self._apply_scores(rt, batch, report, matrix)
 
     def _score_candidates(
         self, rt: _PlatformRuntime, kernel: ReplayKernel, report: FleetReport
@@ -890,6 +946,12 @@ class FleetReplayEngine:
         t0 = time.perf_counter()
         matrix = kernel.features_for(rows, out=buf[: rows.size])
         report.stage_seconds["features"] += time.perf_counter() - t0
+        if self.verify_parity:
+            for features, row in zip(matrix, rows.tolist()):
+                rt.parity_checked += 1
+                reference = kernel.reference_for_query(row)
+                if not np.array_equal(features, reference):
+                    rt.parity_mismatches += 1
         return matrix
 
     def _predict(self, rt: _PlatformRuntime, matrix: np.ndarray):
@@ -900,20 +962,32 @@ class FleetReplayEngine:
         return scores
 
     def _apply_scores(
-        self, rt: _PlatformRuntime, scores, report: FleetReport
+        self,
+        rt: _PlatformRuntime,
+        scores,
+        report: FleetReport,
+        matrix: np.ndarray | None = None,
     ) -> None:
-        """Log the pending queue's scores, raise alarms, clear the queue."""
+        """Log the pending queue's scores, raise alarms, clear the queue.
+
+        ``matrix`` holds the scored feature rows for ``score_hook``; a
+        coherent flush gathers up-front scores and has none.
+        """
         pending = rt.pending
         t0 = time.perf_counter()
         threshold = rt.threshold
+        alarm_from = rt.alarm_from
         platform = rt.assignment.platform
         policy = self.policy
+        hook = self.score_hook
         log = self.score_logs.get(platform) if self.collect_scores else None
-        for (dimm_id, t, _), score in zip(pending, scores):
+        for i, ((dimm_id, t, _), score) in enumerate(zip(pending, scores)):
             value = float(score)
             if log is not None:
                 log.append((dimm_id, t, value))
-            if value >= threshold:
+            if hook is not None:
+                hook(dimm_id, t, matrix[i], value)
+            if value >= threshold and t >= alarm_from:
                 incident = rt.alarms.on_alarm(dimm_id, t, value)
                 if incident is not None and policy is not None:
                     policy.on_incident(platform, incident)
@@ -978,6 +1052,11 @@ class FleetReplayEngine:
                 "alarms": alarm_summary,
                 "health": platform_health,
             }
+            if self.verify_parity:
+                platform_report["parity"] = {
+                    "checked": rt.parity_checked,
+                    "mismatches": rt.parity_mismatches,
+                }
             report.platforms[platform] = platform_report
             report.scored += rt.scored
             report.predict_seconds += rt.predict_seconds

@@ -21,11 +21,12 @@ Payload shapes: CE ``(t, dimm_code, server_code, rows_data_tuple)``,
 UE ``(t, dimm_code)``, memory event ``(t, dimm_code, kind_code)`` — all
 codes pre-converted to Python ints.
 
-Because the sort is stable and its first two keys match the
-single-platform merge in :class:`~repro.streaming.replay.ReplayEngine`,
-each platform's subsequence of the merged stream is *exactly* that
-platform's own replay order — the property the merged-vs-single-platform
-score-parity suite pins down.
+Because the sort is stable and its first two keys are the
+:func:`~repro.telemetry.log_store.iter_stream` order, each platform's
+subsequence of the merged stream is *exactly* that platform's own replay
+order — a single-platform :class:`~repro.streaming.replay.ReplayEngine`
+replays a one-platform merge of this module — the property the
+merged-vs-single-platform score-parity suite pins down.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.telemetry.columnar import (
     UE_T,
 )
 
-#: Kind tags, matching ReplayEngine's merge (CE < UE < event on time ties).
+#: Kind tags, in iter_stream's tie order (CE < UE < event on equal times).
 CE_TAG, UE_TAG, EVENT_TAG = 0, 1, 2
 
 

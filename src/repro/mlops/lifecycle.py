@@ -16,12 +16,12 @@ The replay step used to walk record objects one at a time through
 ``OnlinePredictionService.observe``; it now rides the replay engine with
 the exact same serving semantics — score every CE from hour zero (warming
 the rescore throttle), alarm only once the model is live at the split
-hour, and block an alarmed DIMM until its UE (an infinite-horizon
-:class:`~repro.streaming.alarms.AlarmManager` mirrors the old
-``AlarmSystem``).  Scores and alarms are identical to the retired loop,
-enforced by ``tests/mlops/test_lifecycle_replay.py``; the drift monitor
-now sees the engine-served vectors (scored CEs) instead of per-CE
-recomputed ones.
+hour, and block an alarmed DIMM until its UE (an infinite prediction
+window gives the :class:`~repro.streaming.alarms.AlarmManager` the old
+``AlarmSystem``'s semantics).  Scores and alarms are identical to the
+retired loop, enforced by ``tests/mlops/test_lifecycle_replay.py``; the
+drift monitor now sees the engine-served vectors (scored CEs) instead of
+per-CE recomputed ones.
 
 This is what the ``mlops_lifecycle.py`` example and the MLOps integration
 tests run.
@@ -29,7 +29,7 @@ tests run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ from repro.mlops.serving import (
     Alarm,
 )
 from repro.simulator.fleet import SimulationResult
-from repro.streaming.alarms import AlarmManager
 from repro.streaming.bus import EventBus
 from repro.streaming.replay import ReplayEngine
 
@@ -90,7 +89,7 @@ def replay_held_out(
     Scores every CE from hour zero exactly like the retired ``observe()``
     loop (the pre-deployment period warms the rescore throttle), raises
     alarms only from ``split_hour`` on, and keeps an alarmed DIMM blocked
-    until its UE via an infinite-horizon alarm manager — the semantics of
+    until its UE via an infinite prediction window — the semantics of
     the serving layer's ``AlarmSystem``.  Alarms feed ``migration`` in
     stream order over the event bus; scored vectors feed ``drift``.
     Returns the engine's :class:`~repro.streaming.replay.StreamingReport`.
@@ -129,7 +128,10 @@ def replay_held_out(
         threshold,
         platform,
         configs=simulation.store.configs,
-        labeling=protocol.labeling,
+        # Incidents never expire: a DIMM stays blocked until its UE.
+        labeling=replace(
+            protocol.labeling, prediction_window_hours=float("inf")
+        ),
         bus=bus,
         live_from_hour=0.0,
         alarm_from_hour=split_hour,
@@ -139,9 +141,6 @@ def replay_held_out(
         # synchronous observe() loop this replaced (queued scores behind a
         # fresh incident would otherwise surface as suppressed alarms).
         batch_size=1,
-        alarms=AlarmManager(
-            protocol.labeling.lead_hours, float("inf"), bus
-        ),
         score_hook=_observe_drift if drift is not None else None,
     )
     report = engine.replay(simulation.store)

@@ -21,7 +21,8 @@ degradation ladder (last-known score, then the risky-CE heuristic) —
 unless its timestamp is the bad field, in which case it is only counted.
 
 For whole-campaign bulk replays, prefer
-:class:`repro.streaming.replay.ReplayEngine`, which also merges the fleet
+:class:`repro.streaming.replay.ReplayEngine` (a one-platform
+:class:`repro.fleetops.engine.FleetReplayEngine` replay), which merges the
 stream straight off the columnar store and micro-batches model scoring.
 """
 

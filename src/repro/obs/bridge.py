@@ -52,11 +52,17 @@ coordinator's own merged-report samples carry ``worker="merged"`` and
 local heartbeats ``worker=""``), so one scrape shows the whole run.
 
 Span naming convention: dotted lowercase paths rooted at the verb —
-``replay`` / ``fleet_replay`` / ``coordinator`` / ``serve`` /
-``build_samples`` / ``cache`` — with stage children like
-``replay.stage.predict``.  Spans exist at *stage* granularity only
-(never per flush or per event), so the tree shape is a deterministic
-function of the input.
+``fleet_replay`` / ``coordinator`` / ``serve`` / ``build_samples`` /
+``cache`` — with stage children like ``fleet_replay.stage.predict``.
+Every replay, single-platform or fleet, is a ``fleet_replay`` span with
+``.quarantine``, ``.kernel_build`` (batched engine), ``.finalize`` and
+``.stage.*`` children.  Spans exist at *stage* granularity only (never
+per flush or per event), so the tree shape is a deterministic function
+of the input.
+
+Heartbeat sources: ``fleet_replay`` (every replay walk, including a
+distributed worker's, folded under its ``worker`` label), ``serve``
+(the async scoring service) and ``build_samples`` (offline extraction).
 """
 
 from __future__ import annotations
@@ -260,33 +266,6 @@ class Observability:
             family.labels(topic=topic, **extra).inc(bus_counts[topic])
 
     # -- report projections ------------------------------------------------
-
-    def record_streaming_report(self, report, extra_labels=None) -> None:
-        """Project one ``StreamingReport`` onto the registry."""
-        labels = {
-            "platform": report.platform,
-            "model": report.model_name,
-            "engine": report.engine,
-        }
-        labels.update(extra_labels or {})
-        with self.lock:
-            self._record_counts(labels, {
-                "events": report.events,
-                "ces": report.ces,
-                "ues": report.ues,
-                "mem_events": report.mem_events,
-                "scored": report.scored,
-                "batches": report.batches,
-                "fallback_scores": report.fallbacks,
-            })
-            self._record_replay_ledgers(
-                labels,
-                stage_seconds=report.stage_seconds,
-                alarms=report.alarms or {},
-                health=report.health or {},
-                wall_seconds=report.seconds,
-            )
-            self._record_bus(report.bus_counts or {})
 
     def record_fleet_report(self, report, extra_labels=None) -> None:
         """Project one ``FleetReport`` (merged heterogeneous replay)."""

@@ -1,15 +1,17 @@
 """Batched numpy replay kernels: the columnar fast path under replay.
 
-The per-event replay engines (:class:`~repro.streaming.replay.ReplayEngine`
-and :class:`~repro.fleetops.engine.FleetReplayEngine`) pay a Python loop
-iteration — dict lookups, deque rotations, per-field appends — for every
-record in the stream.  This module amortises that cost into column-wise
-fleet-state updates: one :class:`ReplayKernel` per platform rebuilds the
-whole campaign's per-DIMM windowed state as struct-of-arrays numpy tables
-and precomputes every candidate CE's feature vector in a handful of
-vectorized passes, so the replay loop shrinks to the *decisions* that are
-inherently sequential (rescore throttling, incident blocking, micro-batch
-flush boundaries, alarm-vs-failure ordering).
+The per-event walk of :class:`~repro.fleetops.engine.FleetReplayEngine`
+(the one replay walker; a single-platform
+:class:`~repro.streaming.replay.ReplayEngine` runs it over one platform)
+pays a Python loop iteration — dict lookups, deque rotations, per-field
+appends — for every record in the stream.  This module amortises that
+cost into column-wise fleet-state updates: one :class:`ReplayKernel` per
+platform rebuilds the whole campaign's per-DIMM windowed state as
+struct-of-arrays numpy tables and precomputes every candidate CE's
+feature vector in a handful of vectorized passes, so the replay loop
+shrinks to the *decisions* that are inherently sequential (rescore
+throttling, incident blocking, micro-batch flush boundaries,
+alarm-vs-failure ordering).
 
 How it stays bit-for-bit exact
 ------------------------------

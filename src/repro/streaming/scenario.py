@@ -8,9 +8,9 @@ For every (platform, model) pair the scenario
    serving threshold (validation F1 point capped by a ~3x alarm budget,
    exactly the lifecycle's tuning),
 3. replays the whole campaign through the
-   :class:`~repro.streaming.replay.ReplayEngine` — incremental windowed
-   features, micro-batched scoring, alarm incidents — with the model going
-   live at the train/test split hour, and
+   :class:`~repro.streaming.replay.ReplayEngine` (a one-platform fleet
+   replay) — incremental windowed features, micro-batched scoring, alarm
+   incidents — with the model going live at the train/test split hour, and
 4. reports alarm-level precision/recall next to the offline Table II cell
    (computed from the *same* fitted model, so the only difference is
    serving semantics).
@@ -36,7 +36,11 @@ from repro.ml.threshold import select_threshold
 from repro.ml.virr import virr
 from repro.mlops.serving import RESCORE_INTERVAL_HOURS
 from repro.streaming.bus import EventBus
-from repro.streaming.replay import REPLAY_ENGINES, ReplayEngine
+from repro.streaming.replay import (
+    REPLAY_ENGINES,
+    ReplayEngine,
+    StreamingReport,
+)
 
 #: Default production rescoring cadence (the serving layer's, verbatim).
 DEFAULT_RESCORE_INTERVAL_HOURS = RESCORE_INTERVAL_HOURS
@@ -119,65 +123,31 @@ def streaming_replay(ctx):
                 model, experiment.train, experiment.validation
             )
             if replay_workers > 1:
-                report_dict, summary, scored_dimms = _replay_distributed(
+                report = _replay_distributed(
                     ctx, platform, model_name, model, threshold, pipeline,
                     simulation, split_hour, rescore, batch_size,
                     replay_engine, replay_workers, heartbeat_every,
                 )
-                precision, recall = summary["precision"], summary["recall"]
-                streaming_virr = (
-                    virr(precision, recall, ctx.protocol.y_c)
-                    if recall > 0 and precision > 0
-                    else 0.0
+            else:
+                engine = ReplayEngine(
+                    pipeline,
+                    model,
+                    threshold,
+                    platform,
+                    configs=simulation.store.configs,
+                    labeling=ctx.protocol.labeling,
+                    bus=EventBus(),
+                    live_from_hour=split_hour,
+                    rescore_interval_hours=rescore,
+                    batch_size=batch_size,
+                    engine=replay_engine,
+                    verify_parity=verify,
+                    obs=ctx.obs,
+                    heartbeat_every=heartbeat_every,
                 )
-                cells.append(
-                    Cell(
-                        platform, platform, model_name,
-                        ModelResult(
-                            platform=platform,
-                            model_name=model_name,
-                            supported=True,
-                            precision=precision,
-                            recall=recall,
-                            f1=summary["f1"],
-                            virr=streaming_virr,
-                            threshold=float(threshold),
-                            test_dimms=scored_dimms,
-                            test_positive_dimms=summary[
-                                "ue_dimms_predictable"
-                            ],
-                        ),
-                    )
+                report = engine.replay(
+                    simulation.store, model_name=model_name
                 )
-                platform_extras[model_name] = {
-                    "streaming": report_dict,
-                    "offline": {
-                        "precision": float(offline.precision),
-                        "recall": float(offline.recall),
-                        "f1": float(offline.f1),
-                        "virr": float(offline.virr),
-                        "test_dimms": offline.test_dimms,
-                        "test_positive_dimms": offline.test_positive_dimms,
-                    },
-                }
-                continue
-            engine = ReplayEngine(
-                pipeline,
-                model,
-                threshold,
-                platform,
-                configs=simulation.store.configs,
-                labeling=ctx.protocol.labeling,
-                bus=EventBus(),
-                live_from_hour=split_hour,
-                rescore_interval_hours=rescore,
-                batch_size=batch_size,
-                engine=replay_engine,
-                verify_parity=verify,
-                obs=ctx.obs,
-                heartbeat_every=heartbeat_every,
-            )
-            report = engine.replay(simulation.store, model_name=model_name)
             summary = report.alarms
             precision, recall = summary["precision"], summary["recall"]
             streaming_virr = (
@@ -223,10 +193,10 @@ def _replay_distributed(
 ):
     """One platform's replay via the sharded coordinator.
 
-    Returns a ``StreamingReport``-shaped dict (so the extras renderer
-    and JSON artifact keep their schema), the alarm summary, and the
-    scored-DIMM count.  The coordinator's coherent-flush contract makes
-    the result identical for any worker count.
+    Returns the same :class:`StreamingReport` as the in-process engine,
+    plus the coordinator's ``distributed`` stats.  The coordinator's
+    coherent-flush contract makes the result identical for any worker
+    count.
     """
     from repro.distributed.coordinator import ReplayCoordinator
     from repro.fleetops.engine import ServingAssignment
@@ -254,27 +224,7 @@ def _replay_distributed(
         heartbeat_every=heartbeat_every,
     )
     fleet_report = coordinator.replay({platform: simulation.store})
-    platform_report = fleet_report.platforms[platform]
-    report_dict = {
-        "platform": platform,
-        "model": model_name,
-        "events": platform_report["events"],
-        "seconds": round(fleet_report.seconds, 4),
-        "events_per_second": round(fleet_report.events_per_second, 1),
-        "engine": fleet_report.engine,
-        "stage_seconds": {},
-        "scored": platform_report["scored"],
-        "scored_dimms": platform_report["scored_dimms"],
-        "batches": platform_report["batches"],
-        "fallbacks": platform_report["fallbacks"],
-        "alarms": platform_report["alarms"],
-        "bus_counts": fleet_report.bus_counts,
-        "health": platform_report["health"],
-        "distributed": dict(fleet_report.distributed),
-    }
-    return report_dict, platform_report["alarms"], platform_report[
-        "scored_dimms"
-    ]
+    return StreamingReport.from_fleet(fleet_report, platform)
 
 
 def render_streaming_extras(extras: dict) -> str:

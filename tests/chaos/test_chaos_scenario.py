@@ -27,13 +27,13 @@ def _spec(tiny_protocol, **params):
     )
 
 
-def _run(tiny_study, tiny_protocol, spec):
+def _run(tiny_study, tiny_protocol, spec, obs=None):
     cache = ArtifactCache()
     context = RunContext(spec, cache=cache)
     cache.put_simulation(
         context.simulation_key("intel_purley"), tiny_study["intel_purley"]
     )
-    return run_spec(spec, protocol=tiny_protocol, cache=cache)
+    return run_spec(spec, protocol=tiny_protocol, cache=cache, obs=obs)
 
 
 class TestChaosScenario:
@@ -112,6 +112,32 @@ class TestChaosScenario:
         assert clean["alarms"] == reference["alarms"]
         assert clean["scored"] == reference["scored"]
         assert clean["events"] == reference["events"]
+
+    def test_bus_metrics_are_split_per_fault_rate(
+        self, tiny_study, tiny_protocol
+    ):
+        """Each sweep point's bus counters land under its own
+        ``fault_rate`` label, like its ``repro_replay_*`` counters."""
+        from repro.chaos.quarantine import DEAD_LETTER_TOPIC
+        from repro.obs import Observability
+
+        obs = Observability()
+        spec = _spec(tiny_protocol, fault_rates=(0.0, 0.05))
+        result = _run(tiny_study, tiny_protocol, spec, obs=obs)
+        curve = result.extras["chaos_replay"]["intel_purley"]["lightgbm"][
+            "curve"
+        ]
+        faulted = curve[-1]
+        assert faulted["dead_letter"] > 0
+        samples = obs.metrics.snapshot()["repro_bus_messages_total"][
+            "samples"
+        ]
+        dead_letters = {
+            sample["labels"].get("fault_rate"): sample["value"]
+            for sample in samples
+            if sample["labels"]["topic"] == DEAD_LETTER_TOPIC
+        }
+        assert dead_letters["0.05"] == faulted["dead_letter"]
 
     def test_empty_rate_list_rejected(self, tiny_study, tiny_protocol):
         spec = _spec(tiny_protocol, fault_rates=())

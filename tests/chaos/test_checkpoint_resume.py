@@ -85,13 +85,46 @@ class TestCheckpointer:
         engine.replay(simulation.store, checkpoint_every=50,
                       checkpoint_path=path, halt_after=60)
         snap = load_checkpoint(path)
-        assert snap["kind"] == "replay" and snap["engine"] == "batched"
+        assert snap["kind"] == "fleet" and snap["engine"] == "batched"
         with pytest.raises(ValueError, match="kind="):
             ReplayCheckpointer(resume_from=path, engine="batched",
-                               kind="fleet")
+                               kind="replay")
         with pytest.raises(ValueError, match="engine="):
             ReplayCheckpointer(resume_from=path, engine="per_event",
-                               kind="replay")
+                               kind="fleet")
+
+    @pytest.mark.parametrize("kind", REPLAY_ENGINES)
+    def test_single_platform_layout_is_refused(self, tmp_path, purley, kind):
+        """A checkpoint in the retired single-platform layout
+        (``kind="replay"``) fails with the typed kind error, never a
+        KeyError from reading fleet state keys out of it."""
+        import pickle
+
+        from repro.chaos.checkpoint import CHECKPOINT_VERSION, save_checkpoint
+        from repro.streaming.alarms import AlarmManager
+
+        simulation, pipeline = purley
+        path = tmp_path / "old.pkl"
+        state = {
+            "alarms": AlarmManager(3.0, 720.0),
+            "last_scored": {},
+            "scored_dimms": set(),
+            "pending": [],
+            "score_log": [],
+            "parity": (0, 0),
+            "counters": {"scored": 0, "batches": 0},
+        }
+        save_checkpoint(path, {
+            "version": CHECKPOINT_VERSION,
+            "kind": "replay",
+            "engine": kind,
+            "position": 60,
+            "state": pickle.dumps(state),
+            "bus_counts": {},
+        })
+        engine = _engine(simulation, pipeline, engine=kind)
+        with pytest.raises(ValueError, match="kind="):
+            engine.replay(simulation.store, resume_from=path)
 
     def test_version_check(self, tmp_path):
         import pickle

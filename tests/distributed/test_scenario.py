@@ -99,6 +99,46 @@ class TestWorkersParams:
         }
         assert "  stages: " in render_fleet_extras(result.extras)
 
+    def test_streaming_with_workers_reports_like_in_process(
+        self, tiny_study, tiny_protocol
+    ):
+        """``streaming_replay`` over the coordinator reports the in-process
+        schema (plus ``distributed``), with the workers' summed stages."""
+        from repro.streaming.scenario import render_streaming_extras
+
+        def streaming(**params):
+            spec = RunSpec(
+                scenario="streaming_replay",
+                platforms=("intel_purley",),
+                models=("lightgbm",),
+                scale=tiny_protocol.scale,
+                hours=tiny_protocol.duration_hours,
+                seed=tiny_protocol.seed,
+                max_samples_per_dimm=(
+                    tiny_protocol.sampling.max_samples_per_dimm
+                ),
+                params={"batch_size": 64, **params},
+            )
+            return run_spec(
+                spec, protocol=tiny_protocol,
+                cache=seeded_cache(spec, tiny_study),
+            )
+
+        def report(result):
+            return result.extras["streaming_replay"]["intel_purley"][
+                "lightgbm"
+            ]["streaming"]
+
+        local = streaming(verify_parity=True)
+        sharded = streaming(replay_workers=2)
+        local_report, sharded_report = report(local), report(sharded)
+        assert set(local_report) - {"parity"} <= set(sharded_report)
+        assert sharded_report["distributed"]["workers"] == 2
+        assert set(sharded_report["stage_seconds"]) == {
+            "ingest", "features", "predict", "alarms"
+        }
+        assert "    stages: " in render_streaming_extras(sharded.extras)
+
     def test_streaming_verify_rejects_workers(self, tiny_protocol):
         spec = RunSpec(
             scenario="streaming_replay",

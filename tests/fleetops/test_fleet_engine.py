@@ -1,5 +1,7 @@
 """Fleet replay engine: merged-pass parity, policy wiring, scenario."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,102 @@ class TestMergedParity:
         )
         report = batched.replay(stream, stores)
         assert report.events == stream.events
+
+
+class TestSinglePlatformFeatures:
+    """``score_hook`` and ``alarm_from_hour`` live in the fleet walker."""
+
+    PLATFORMS = ("intel_purley", "k920")
+
+    def _pair(self, tiny_study, fitted_fleet, **kwargs):
+        assignments = _assignments(tiny_study, fitted_fleet, **kwargs)
+        return {name: assignments[name] for name in self.PLATFORMS}
+
+    def _run(self, tiny_study, assignments, **kwargs):
+        stores = {name: tiny_study[name].store for name in self.PLATFORMS}
+        engine = FleetReplayEngine(
+            assignments,
+            labeling=LabelingParams(),
+            rescore_interval_hours=0.0,
+            batch_size=64,
+            collect_scores=True,
+            **kwargs,
+        )
+        engine.replay(merge_fleet_streams(stores), stores)
+        return engine
+
+    def test_score_hook_rejects_coherent_flush(self, tiny_study, fitted_fleet):
+        assignments = _assignments(tiny_study, fitted_fleet)
+        with pytest.raises(ValueError, match="coherent_flush"):
+            FleetReplayEngine(
+                assignments,
+                score_hook=lambda dimm_id, t, features, score: None,
+                coherent_flush=True,
+            )
+
+    @pytest.mark.parametrize("engine", ["batched", "per_event"])
+    def test_score_hook_sees_every_scored_row(
+        self, tiny_study, fitted_fleet, engine
+    ):
+        assignments = self._pair(tiny_study, fitted_fleet)
+        seen = []
+
+        def hook(dimm_id, t, features, score):
+            rescored = _EchoModel().predict_proba(features[None, :])[0]
+            seen.append((dimm_id, t, score, rescored))
+
+        fleet = self._run(
+            tiny_study, assignments, engine=engine, score_hook=hook
+        )
+        logged = [
+            entry
+            for name in self.PLATFORMS
+            for entry in fleet.score_logs[name]
+        ]
+        assert sorted(entry[:3] for entry in seen) == sorted(logged)
+        assert all(entry[2] == entry[3] for entry in seen)
+
+    def test_alarm_from_hour_gates_one_platform(
+        self, tiny_study, fitted_fleet
+    ):
+        base = self._pair(tiny_study, fitted_fleet, live_fraction=0.0)
+        gated_name, other_name = self.PLATFORMS
+        hour = 0.5 * tiny_study[gated_name].duration_hours
+        gated = dict(base)
+        gated[gated_name] = replace(base[gated_name], alarm_from_hour=hour)
+
+        plain = self._run(tiny_study, base)
+        fleet = self._run(tiny_study, gated)
+
+        before = [
+            incident.opened_hour
+            for incident in plain.runtimes[gated_name].alarms.incidents
+            if incident.opened_hour < hour
+        ]
+        assert before, "expected incidents before the hour without gating"
+        assert all(
+            incident.opened_hour >= hour
+            for incident in fleet.runtimes[gated_name].alarms.incidents
+        )
+        # The other platform is untouched, and the gated one scores exactly
+        # as it does replayed alone with the same gate.
+        assert fleet.score_logs[other_name] == plain.score_logs[other_name]
+        simulation = tiny_study[gated_name]
+        alone = ReplayEngine(
+            fitted_fleet[gated_name],
+            _EchoModel(),
+            THRESHOLD,
+            gated_name,
+            configs=simulation.store.configs,
+            labeling=LabelingParams(),
+            alarm_from_hour=hour,
+            rescore_interval_hours=0.0,
+            batch_size=64,
+            collect_scores=True,
+        )
+        alone.replay(simulation.store, model_name="echo")
+        assert fleet.score_logs[gated_name] == alone.score_log
+        assert len(alone.score_log) > 0
 
 
 class TestFleetOpsScenario:

@@ -99,17 +99,18 @@ class TestReplayParity:
         obs = Observability()
         _replay(simulation, pipeline, obs=obs)
         (root,) = obs.tracer.tree()
-        assert root["name"] == "replay"
-        assert root["attributes"]["platform"] == "intel_purley"
+        assert root["name"] == "fleet_replay"
+        assert root["attributes"]["platforms"] == "intel_purley"
         assert root["attributes"]["halted"] is False
         names = [child["name"] for child in root["children"]]
         assert names == [
-            "replay.quarantine",
-            "replay.kernel_build",
-            "replay.stage.alarms",
-            "replay.stage.features",
-            "replay.stage.ingest",
-            "replay.stage.predict",
+            "fleet_replay.quarantine",
+            "fleet_replay.kernel_build",
+            "fleet_replay.finalize",
+            "fleet_replay.stage.alarms",
+            "fleet_replay.stage.features",
+            "fleet_replay.stage.ingest",
+            "fleet_replay.stage.predict",
         ]
         # a second identical run produces the identical shape
         second = Observability()
