@@ -45,10 +45,21 @@ matrix products round differently with the batch shape, so 200 rows
 scored one at a time and in one call differ by up to 2.2e-16 (one BLAS
 thread).  With it, the three results hold to that rounding only.
 
-Fault tolerance reuses the PR 7 machinery end to end: the process pool
-falls back to threads then inline on pool-level failures, a worker that
+Fan-out: the coordinator is one of the ``workers`` partition runners.
+It replays partitions ``i`` with ``i % workers == 0`` itself while a pool
+of ``workers - 1`` processes replays the rest, so ``workers=2`` forks
+one process.  The run-wide part of the payload (assignments with their
+models, pipelines and configs, labeling, replay settings, manifest and
+shard dir) reaches each pool process once, through the pool initializer:
+under fork the process inherits it without pickling, under spawn or
+forkserver it is pickled once per process.  A pool task carries only
+its partition index and its checkpoint, halt and fail fields.
+
+Fault tolerance uses the chaos tier's ladder: the process pool falls
+back to threads then inline on pool-level failures, a pool worker that
 dies with a transient error is retried with backoff and finally rerun
-inline, a worker halted mid-partition (``halt_after``) leaves a
+inline, a partition the coordinator runs itself gets the inline rung's
+single retry, a partition halted mid-walk (``halt_after``) leaves a
 checkpoint that the coordinator resumes deterministically, and
 duplicate result delivery is idempotent (partitions merge keyed by
 index, first result wins).
@@ -65,6 +76,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -211,15 +223,42 @@ def _replay_partition(payload: dict) -> PartitionOutcome:
     return outcome
 
 
+#: ``(fn, run_wide)`` of the pool this worker process belongs to.  Set
+#: once per pool process by :func:`_init_runner`; never in the
+#: coordinator, whose own partitions get their payloads directly.
+_RUNNER: tuple | None = None
+
+
+def _init_runner(fn, run_wide: dict) -> None:
+    """Pool initializer: keep the run-wide payload for every task."""
+    global _RUNNER
+    _RUNNER = (fn, run_wide)
+
+
+def _run_part(part: dict):
+    """Pool task: one partition from its small per-partition payload."""
+    fn, run_wide = _RUNNER
+    return fn({**run_wide, **part})
+
+
+def _run_inline(fn, payload: dict):
+    """One partition in this process, with one retry on a transient death."""
+    try:
+        return fn(payload)
+    except (OSError, pickle.PicklingError, MemoryError):
+        return fn(payload)
+
+
 def _partition_result(
-    pool, fn, payload, future, retries: int = 2, backoff: float = 0.05
+    resubmit, inline, future, retries: int = 2, backoff: float = 0.05
 ):
-    """One partition's result with the crashed-worker retry taxonomy.
+    """One pool partition's result with the crashed-worker retry taxonomy.
 
     Mirrors ``features.pipeline._shard_result``: a broken pool re-raises
     so the caller falls back to the next pool class wholesale; a
     transient worker death (OSError / pickling / memory) retries with
-    backoff and finally reruns inline; anything else is a genuine bug.
+    backoff via ``resubmit()`` and finally reruns ``inline()``; anything
+    else is a genuine bug.
     """
     for attempt in range(retries):
         try:
@@ -229,52 +268,77 @@ def _partition_result(
         except (OSError, pickle.PicklingError, MemoryError):
             time.sleep(backoff * (2**attempt))
             try:
-                future = pool.submit(fn, payload)
+                future = resubmit()
             except (RuntimeError, BrokenExecutor):
-                return fn(payload)
+                return inline()
     try:
         return future.result()
     except BrokenExecutor:
         raise
     except (OSError, pickle.PicklingError, MemoryError):
-        return fn(payload)
+        return inline()
 
 
-def _run_pool(fn, payloads: list, workers: int) -> list:
-    """Run ``fn`` over ``payloads``: process pool -> threads -> inline.
+def _run_pool(fn, run_wide: dict, parts: list[dict], workers: int) -> list:
+    """Run ``fn({**run_wide, **part})`` for every part, in part order.
 
-    The same resilience ladder as the sharded sample build — each rung
-    catches pool-construction/teardown failures wholesale, and the
-    inline rung gives every transient worker death one retry.
+    ``workers`` counts concurrent runners, this process included: part
+    ``i`` with ``i % workers == 0`` runs here while ``workers - 1`` pool
+    workers run the rest.  Pool processes receive ``run_wide`` once,
+    through the pool initializer, and each task ships only its ``part``;
+    pool threads share it directly.  The same resilience ladder as the
+    sharded sample build: process pool -> threads -> inline, each rung
+    catching pool-construction/teardown failures wholesale.  Results
+    already in hand carry over when a rung falls through, and every
+    part run in this process gets one retry on a transient death.
     """
-    if workers > 1 and len(payloads) > 1:
-        for pool_cls in (ProcessPoolExecutor, ThreadPoolExecutor):
-            try:
-                with pool_cls(
-                    max_workers=min(workers, len(payloads))
-                ) as pool:
-                    futures = [
-                        pool.submit(fn, payload) for payload in payloads
-                    ]
-                    return [
-                        _partition_result(pool, fn, payload, future)
-                        for payload, future in zip(payloads, futures)
-                    ]
-            except (
-                OSError,
-                PermissionError,
-                RuntimeError,
-                pickle.PicklingError,
-                BrokenExecutor,
-            ):
-                continue
-    results = []
-    for payload in payloads:
+    payloads = [{**run_wide, **part} for part in parts]
+    results: dict[int, object] = {}
+    pooled = [index for index in range(len(parts)) if index % workers]
+    rungs = () if not pooled else (
+        (
+            ProcessPoolExecutor,
+            {"initializer": _init_runner, "initargs": (fn, run_wide)},
+            lambda index: (_run_part, parts[index]),
+        ),
+        (ThreadPoolExecutor, {}, lambda index: (fn, payloads[index])),
+    )
+    for pool_cls, options, task in rungs:
         try:
-            results.append(fn(payload))
-        except (OSError, pickle.PicklingError, MemoryError):
-            results.append(fn(payload))
-    return results
+            with pool_cls(
+                max_workers=min(workers - 1, len(pooled)), **options
+            ) as pool:
+                futures = {
+                    index: pool.submit(*task(index))
+                    for index in pooled
+                    if index not in results
+                }
+                for index in range(0, len(parts), workers):
+                    if index not in results:
+                        results[index] = _run_inline(fn, payloads[index])
+                for index, future in futures.items():
+                    results[index] = _partition_result(
+                        partial(pool.submit, *task(index)),
+                        partial(fn, payloads[index]),
+                        future,
+                    )
+                # Every result is in hand: let the pool processes exit
+                # in the background instead of waiting out their
+                # teardown (8 ms for a forked 150 MB process, 2-core VM).
+                pool.shutdown(wait=False)
+                break
+        except (
+            OSError,
+            PermissionError,
+            RuntimeError,
+            pickle.PicklingError,
+            BrokenExecutor,
+        ):
+            continue
+    for index, payload in enumerate(payloads):
+        if index not in results:
+            results[index] = _run_inline(fn, payload)
+    return [results[index] for index in range(len(parts))]
 
 
 class ReplayCoordinator:
@@ -391,51 +455,57 @@ class ReplayCoordinator:
         halt_partition,
         halt_after,
         fail_partition,
-    ) -> list[dict]:
-        payloads = []
+    ) -> tuple[dict, list[dict]]:
+        """``(run_wide, parts)``: the shared payload and one part per shard."""
+        run_wide = {
+            "shard_dir": str(shard_dir),
+            "manifest": manifest.to_dict(),
+            "assignments": self.assignments,
+            "labeling": self.labeling,
+            "min_ces_before_scoring": self.min_ces_before_scoring,
+            "rescore_interval_hours": self.rescore_interval_hours,
+            "batch_size": self.batch_size,
+            "engine": self.engine,
+            "end_hours": end_hours,
+            "mmap": self.mmap,
+            "observability": self.obs is not None,
+            "heartbeat_every": self.heartbeat_every,
+        }
+        parts = []
         for entry in manifest.shards:
             index = entry["index"]
-            payload = {
-                "shard_dir": str(shard_dir),
-                "manifest": manifest.to_dict(),
+            part = {
                 "index": index,
-                "assignments": self.assignments,
-                "labeling": self.labeling,
-                "min_ces_before_scoring": self.min_ces_before_scoring,
-                "rescore_interval_hours": self.rescore_interval_hours,
-                "batch_size": self.batch_size,
-                "engine": self.engine,
-                "end_hours": end_hours,
-                "mmap": self.mmap,
                 "checkpoint_path": None,
                 "resume_from": None,
                 "halt_after": None,
                 "fail_partition": fail_partition,
-                "observability": self.obs is not None,
-                "heartbeat_every": self.heartbeat_every,
             }
             if halt_partition == index and halt_after is not None:
-                payload["halt_after"] = int(halt_after)
-                payload["checkpoint_path"] = str(
+                part["halt_after"] = int(halt_after)
+                part["checkpoint_path"] = str(
                     shard_dir / f"checkpoint_{index:04d}.pkl"
                 )
-            payloads.append(payload)
-        return payloads
+            parts.append(part)
+        return run_wide, parts
 
-    def _run_payloads(self, payloads: list[dict]) -> list[PartitionOutcome]:
-        outcomes = _run_pool(_replay_partition, payloads, self.workers)
-        # A halted worker left its checkpoint on shared disk; resume it
-        # deterministically (PR 7 pins resumed == uninterrupted).
+    def _run_payloads(self, payloads: tuple[dict, list[dict]]) -> list:
+        run_wide, parts = payloads
+        outcomes = _run_pool(_replay_partition, run_wide, parts, self.workers)
+        # A halted partition left its checkpoint on shared disk; resume
+        # it here, deterministically (resumed == uninterrupted).
         resumed = []
-        for payload, outcome in zip(payloads, outcomes):
+        for part, outcome in zip(parts, outcomes):
             while outcome is not None and outcome.halted:
-                resume = dict(
-                    payload,
-                    halt_after=None,
-                    resume_from=outcome.checkpoint,
-                    fail_partition=None,
+                outcome = _replay_partition(
+                    {
+                        **run_wide,
+                        **part,
+                        "halt_after": None,
+                        "resume_from": outcome.checkpoint,
+                        "fail_partition": None,
+                    }
                 )
-                outcome = _replay_partition(resume)
             resumed.append(outcome)
         return resumed
 
@@ -766,21 +836,18 @@ def build_samples_distributed(
         manifest = write_fleet_shards(
             {platform_key: store.columns}, n_shards, shard_dir
         )
-        payloads = [
-            {
-                "shard_dir": str(shard_dir),
-                "manifest": manifest.to_dict(),
-                "index": entry["index"],
-                "platform_key": platform_key,
-                "pipeline": pipeline,
-                "configs": config_of,
-                "jitters": jitter_of,
-                "end_hour": store.end_hour,
-                "mmap": mmap,
-            }
-            for entry in manifest.shards
-        ]
-        shards = _run_pool(_build_partition, payloads, workers)
+        run_wide = {
+            "shard_dir": str(shard_dir),
+            "manifest": manifest.to_dict(),
+            "platform_key": platform_key,
+            "pipeline": pipeline,
+            "configs": config_of,
+            "jitters": jitter_of,
+            "end_hour": store.end_hour,
+            "mmap": mmap,
+        }
+        parts = [{"index": entry["index"]} for entry in manifest.shards]
+        shards = _run_pool(_build_partition, run_wide, parts, workers)
         names = pipeline.feature_names()
         X = np.vstack([shard[0] for shard in shards])
         y = np.concatenate([shard[1] for shard in shards])

@@ -15,11 +15,18 @@ zero-copy.  Memory-mapped arrays are read-only; callers that need to
 mutate must copy (``ColumnarTable`` grows into a fresh writable buffer
 on the first append past capacity, so appending to a mapped table is
 safe by construction).
+
+Mapping skips the zip reader, so it also skips the reader's CRC-32
+check; :func:`_mmap_member` runs that check itself, over the mapped
+bytes, and raises the same ``zipfile.BadZipFile`` an eager load raises.
+A flipped bit in a shard is an error in both modes, never a silently
+different number.
 """
 
 from __future__ import annotations
 
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +44,19 @@ def _member_name(info: zipfile.ZipInfo) -> str:
 
 
 def _mmap_member(path, handle, info: zipfile.ZipInfo) -> np.ndarray | None:
-    """Map one ZIP_STORED npy member in place; None when not mappable."""
+    """Map one ZIP_STORED npy member in place; None when not mappable.
+
+    Raises ``zipfile.BadZipFile`` when the member's bytes do not match
+    the CRC-32 in its directory entry.
+    """
     handle.seek(info.header_offset)
     local = handle.read(_LOCAL_HEADER_SIZE)
     if len(local) < _LOCAL_HEADER_SIZE or local[:4] != _LOCAL_HEADER_SIG:
         return None
     name_len = int.from_bytes(local[26:28], "little")
     extra_len = int.from_bytes(local[28:30], "little")
-    handle.seek(info.header_offset + _LOCAL_HEADER_SIZE + name_len + extra_len)
+    data_start = info.header_offset + _LOCAL_HEADER_SIZE + name_len + extra_len
+    handle.seek(data_start)
     try:
         version = npy_format.read_magic(handle)
         if version == (1, 0):
@@ -57,17 +69,26 @@ def _mmap_member(path, handle, info: zipfile.ZipInfo) -> np.ndarray | None:
         return None
     if dtype.hasobject:
         return None
-    if any(dim == 0 for dim in shape):
+    offset = handle.tell()
+    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    if offset - data_start + nbytes != info.file_size:
+        return None
+    handle.seek(data_start)
+    crc = zlib.crc32(handle.read(offset - data_start))
+    order = "F" if fortran else "C"
+    if nbytes == 0:
         # np.memmap rejects zero-length maps; an empty array needs no map.
-        return np.empty(shape, dtype=dtype, order="F" if fortran else "C")
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=handle.tell(),
-        shape=shape,
-        order="F" if fortran else "C",
-    )
+        mapped = np.empty(shape, dtype=dtype, order=order)
+    else:
+        mapped = np.memmap(
+            path, dtype=dtype, mode="r", offset=offset, shape=shape,
+            order=order,
+        )
+        # The payload's bytes in file order, whatever the array's order.
+        crc = zlib.crc32(mapped.reshape(-1, order="A").view(np.uint8), crc)
+    if crc != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
+    return mapped
 
 
 def load_npz_arrays(path, *, mmap: bool = False) -> dict[str, np.ndarray]:

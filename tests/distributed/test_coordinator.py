@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.distributed import coordinator as coordinator_module
 from repro.distributed.coordinator import (
     ReplayCoordinator,
+    _run_pool,
     build_samples_distributed,
 )
 from repro.features.pipeline import FeaturePipeline
@@ -26,6 +37,26 @@ def make_coordinator(assignments, make_fleet_policy, **kwargs):
     )
     defaults.update(kwargs)
     return ReplayCoordinator(assignments, **defaults)
+
+
+class CountingModel:
+    """Delegates scoring; counts how often this process pickles it."""
+
+    pickles = 0
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict_proba(self, X):
+        return self.inner.predict_proba(X)
+
+    def __reduce__(self):
+        CountingModel.pickles += 1
+        return (CountingModel, (self.inner,))
+
+
+def _index_and_pid(payload):
+    return payload["index"], payload["tag"], os.getpid()
 
 
 class TestReplayParity:
@@ -160,3 +191,173 @@ class TestShardedSampleBuild:
         assert np.array_equal(serial.times, sharded.times)
         assert list(serial.dimm_ids) == list(sharded.dimm_ids)
         assert serial.feature_names == sharded.feature_names
+
+
+class TestCoordinatorShare:
+    """The coordinator runs partitions ``i % workers == 0`` itself."""
+
+    def test_coordinator_runs_its_share_in_process(self):
+        parts = [{"index": index} for index in range(5)]
+        results = _run_pool(_index_and_pid, {"tag": "run"}, parts, 2)
+        assert [index for index, _, _ in results] == list(range(5))
+        assert {tag for _, tag, _ in results} == {"run"}
+        here = [pid == os.getpid() for _, _, pid in results]
+        assert here[0] and here[2] and here[4]
+
+    def test_run_wide_payload_crosses_once_per_worker(
+        self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check
+    ):
+        # One shared instance: a payload crossing pickles it once.
+        model = CountingModel(
+            next(iter(fleet_assignments.values())).model
+        )
+        counted = {
+            name: dataclasses.replace(assignment, model=model)
+            for name, assignment in fleet_assignments.items()
+        }
+        CountingModel.pickles = 0
+        coordinator = make_coordinator(
+            counted, make_fleet_policy, workers=2, n_shards=4
+        )
+        report = coordinator.replay(fleet_stores)
+        parity_check(coordinator, report)
+        assert report.distributed["partitions"] == 4
+        assert CountingModel.pickles <= coordinator.workers - 1
+
+    @pytest.mark.parametrize("partition", [0, 1])
+    def test_crash_heals_on_either_side(
+        self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check,
+        tmp_path, partition,
+    ):
+        coordinator = make_coordinator(
+            fleet_assignments, make_fleet_policy, n_shards=5,
+            shard_dir=tmp_path,
+        )
+        report = coordinator.replay(fleet_stores, fail_partition=partition)
+        parity_check(coordinator, report)
+        assert (tmp_path / f"failed_{partition:04d}.marker").exists()
+
+    @pytest.mark.parametrize("partition", [0, 1])
+    def test_halt_resumes_on_either_side(
+        self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check,
+        tmp_path, partition,
+    ):
+        coordinator = make_coordinator(
+            fleet_assignments, make_fleet_policy, n_shards=5,
+            shard_dir=tmp_path,
+        )
+        report = coordinator.replay(
+            fleet_stores, halt_partition=partition, halt_after=40
+        )
+        parity_check(coordinator, report)
+        assert (tmp_path / f"checkpoint_{partition:04d}.pkl").exists()
+
+    def test_thread_rung_matches(
+        self, fleet_stores, fleet_assignments, make_fleet_policy, parity_check,
+        monkeypatch,
+    ):
+        def no_processes(*args, **kwargs):
+            raise PermissionError("no process pools here")
+
+        built = []
+
+        class RecordingThreads(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            coordinator_module, "ProcessPoolExecutor", no_processes
+        )
+        monkeypatch.setattr(
+            coordinator_module, "ThreadPoolExecutor", RecordingThreads
+        )
+        coordinator = make_coordinator(
+            fleet_assignments, make_fleet_policy, n_shards=5
+        )
+        report = coordinator.replay(fleet_stores)
+        parity_check(coordinator, report)
+        assert built == [1]
+
+
+SPAWN_SCRIPT = textwrap.dedent(
+    """
+    import multiprocessing
+
+    import numpy as np
+    from repro.distributed.coordinator import ReplayCoordinator
+    from repro.features.pipeline import FeaturePipeline
+    from repro.fleetops.engine import ServingAssignment
+    from repro.simulator import FleetConfig, k920_platform, simulate_fleet
+
+
+    class SumModel:
+        pickles = 0
+
+        def predict_proba(self, X):
+            X = np.asarray(X, dtype=float)
+            return 1.0 / (1.0 + np.exp(-X.sum(axis=1) / 100.0))
+
+        def __reduce__(self):
+            SumModel.pickles += 1
+            return (SumModel, ())
+
+
+    def replay(sim, assignment, workers):
+        coordinator = ReplayCoordinator(
+            {"k920": assignment}, workers=workers, n_shards=3
+        )
+        report = coordinator.replay({"k920": sim.store})
+        return coordinator.score_logs, report.costs, report.bus_counts
+
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        sim = simulate_fleet(
+            FleetConfig(
+                platform=k920_platform(scale=0.1),
+                duration_hours=720.0,
+                seed=3,
+            )
+        )
+        pipeline = FeaturePipeline()
+        pipeline.fit(sim.store)
+        assignment = ServingAssignment(
+            platform="k920",
+            model_name="sum",
+            train_platform="k920",
+            model=SumModel(),
+            threshold=0.985,
+            pipeline=pipeline,
+            configs=sim.store.configs,
+            live_from_hour=360.0,
+        )
+        inline = replay(sim, assignment, 1)
+        assert SumModel.pickles == 0
+        spawned = replay(sim, assignment, 2)
+        assert spawned == inline, "2-worker spawn replay diverged"
+        assert inline[0]["k920"], "nothing was scored"
+        # One pool process, and the run-wide payload pickled once for it.
+        assert SumModel.pickles == 1, SumModel.pickles
+        print("spawn parity ok")
+    """
+)
+
+
+def test_spawn_start_method_matches_inline(tmp_path):
+    script = tmp_path / "spawn_replay.py"
+    script.write_text(SPAWN_SCRIPT, encoding="utf-8")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "spawn parity ok" in result.stdout

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,28 @@ class TestNpzRoundTrip:
         assert set(eager) == set(mapped)
         for name in eager:
             assert np.array_equal(eager[name], mapped[name]), name
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_flipped_byte_fails_the_crc_in_both_modes(
+        self, npz_path, tmp_path, mmap
+    ):
+        with zipfile.ZipFile(npz_path) as archive:
+            info = archive.getinfo("ces.npy")
+        raw = bytearray(npz_path.read_bytes())
+        # The last byte of the member: inside the float payload, past
+        # the npy header, so only the CRC can tell.
+        name_len = int.from_bytes(
+            raw[info.header_offset + 26:info.header_offset + 28], "little"
+        )
+        extra_len = int.from_bytes(
+            raw[info.header_offset + 28:info.header_offset + 30], "little"
+        )
+        data_start = info.header_offset + 30 + name_len + extra_len
+        raw[data_start + info.file_size - 1] ^= 0x01
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(bytes(raw))
+        with pytest.raises(zipfile.BadZipFile, match="CRC-32"):
+            load_npz_arrays(corrupt, mmap=mmap)
 
     def test_reloaded_store_replays_like_the_original(self, purley_sim,
                                                       npz_path):
