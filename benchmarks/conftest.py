@@ -25,25 +25,12 @@ SEED = 7
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--fleet",
-        action="store_true",
-        default=False,
-        help="run the fleet-extraction benchmark (writes "
-        "pipeline_throughput_fleet*.json)",
-    )
-    parser.addoption(
         "--bench-scale",
         type=float,
         default=1.0,
-        help="fleet simulation scale for the --fleet/--streaming benchmarks "
-        "(1.0 = paper shape; CI uses a smaller smoke scale)",
-    )
-    parser.addoption(
-        "--streaming",
-        action="store_true",
-        default=False,
-        help="run the streaming-replay benchmark (writes "
-        "streaming_replay*.json)",
+        help="fleet simulation scale for the --fleet-ops/--distributed/"
+        "--observability benchmarks (1.0 = paper shape; CI uses a smaller "
+        "smoke scale)",
     )
     parser.addoption(
         "--fleet-ops",

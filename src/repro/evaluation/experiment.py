@@ -112,8 +112,6 @@ class PlatformExperiment:
         cls,
         simulation: SimulationResult,
         protocol: ExperimentProtocol,
-        engine: str | None = None,
-        workers: int | None = None,
     ) -> "PlatformExperiment":
         pipeline = FeaturePipeline(
             FeaturePipelineConfig(
@@ -124,8 +122,6 @@ class PlatformExperiment:
             simulation.store,
             platform=simulation.platform.name,
             campaign_end_hour=simulation.duration_hours,
-            engine=engine,
-            workers=workers,
         )
         return cls.from_samples(samples, protocol, simulation.duration_hours)
 

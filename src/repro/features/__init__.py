@@ -24,23 +24,13 @@ from repro.features.sampling import (
 from repro.features.spatial import SpatialExtractor
 from repro.features.static import EnvironmentExtractor, StaticEncoder
 from repro.features.temporal import TemporalExtractor
-from repro.features.windows import (
-    SUB_WINDOWS_HOURS,
-    AppendableDimmHistory,
-    BatchWindows,
-    DimmHistory,
-    FleetWindows,
-    as_dimm_history,
-)
+from repro.features.windows import SUB_WINDOWS_HOURS, DimmHistory, FleetWindows
 
 __all__ = [
-    "AppendableDimmHistory",
-    "BatchWindows",
     "BitLevelExtractor",
     "DimmHistory",
     "ENGINES",
     "FleetWindows",
-    "as_dimm_history",
     "EnvironmentExtractor",
     "FeaturePipeline",
     "FeaturePipelineConfig",

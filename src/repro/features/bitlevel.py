@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.windows import EPS, BatchWindows, DimmHistory
+from repro.features.windows import EPS, DimmHistory, FleetWindows
+from repro.telemetry.columnar import FleetArrays
 
 
 class BitLevelExtractor:
@@ -75,20 +76,15 @@ class BitLevelExtractor:
         return window.bitlevel_block()
 
     def compute_batch(
-        self,
-        history: DimmHistory,
-        ts: np.ndarray,
-        windows: BatchWindows | None = None,
+        self, fleet: FleetArrays, ts: np.ndarray, windows: FleetWindows
     ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times.
+        """Vectorized :meth:`compute` for many samples across the fleet.
 
         The bit-level columns are tiny non-negative integers, so each
         window's histogram is one dense ``bincount`` over the flattened
         (sample, CE) pairs — max and mode both fall out of it — and the
         conditional counts are weighted bincounts over the same pairs.
         """
-        if windows is None:
-            windows = BatchWindows(history, ts)
         n = windows.ts.size
         out = np.zeros((n, len(self.names())), dtype=float)
         sizes = windows.counts(self.observation_hours)
@@ -99,14 +95,14 @@ class BitLevelExtractor:
 
         # Gather each column to pair level once; the histogram and every
         # conditional count reuse the same gathered arrays.
-        dq = history.dq_count[idx]
-        beats = history.beat_count[idx]
-        beat_iv = history.beat_interval[idx]
-        err = history.error_bits[idx]
+        dq = fleet.dq_count[idx]
+        beats = fleet.beat_count[idx]
+        beat_iv = fleet.beat_interval[idx]
+        err = fleet.error_bits[idx]
 
         maxima, modes = _max_and_mode(
             sid,
-            (dq, beats, history.dq_interval[idx], beat_iv, err),
+            (dq, beats, fleet.dq_interval[idx], beat_iv, err),
             n,
         )
         out[:, 0], out[:, 1] = maxima[0], modes[0]
@@ -121,7 +117,7 @@ class BitLevelExtractor:
         out[:, 7] = window_sum((dq == 2) & (beat_iv == 4))
         out[:, 8] = window_sum((dq == 4) & (beats >= 5))
         out[:, 9] = window_sum(dq >= 3)
-        out[:, 10] = window_sum(history.n_devices[idx] >= 2)
+        out[:, 10] = window_sum(fleet.n_devices[idx] >= 2)
         # Error-bit counts are integer-valued, so the weighted-bincount sum
         # is exact and the mean matches the per-sample path bit-for-bit.
         out[:, 11] = np.divide(

@@ -6,20 +6,24 @@ instant, with labels from :mod:`repro.features.labeling`.  The same
 pipeline object serves batch construction (training) and single-sample
 transformation (online serving), guaranteeing train/serve consistency.
 
-Three batch engines share one vectorized extraction core:
+One reference, one fast path:
 
-* ``engine="fleet"`` (default) — ONE cross-DIMM pass: the log store's
-  columnar fleet view feeds :class:`~repro.features.windows.FleetWindows`,
-  and every extractor's ``compute_batch`` runs once over the whole fleet's
-  ragged arrays instead of once per DIMM.  Optionally sharded over a
-  process pool (``workers=``) with columnar pickling.
-* ``engine="batch"`` — the retained per-DIMM vectorized path (one
-  :class:`BatchWindows` per DIMM), kept as the fleet engine's reference
-  and benchmark baseline.
-* ``engine="per_sample"`` — one :meth:`FeaturePipeline.transform_one`
-  call per sample; the bit-for-bit reference implementation.
+* :meth:`FeaturePipeline.transform_one` — one DIMM at one instant over a
+  :class:`~repro.features.windows.DimmHistory`; the executable reference
+  every other feature path is pinned to, bit for bit.
+  ``build_samples(engine="per_sample")`` calls it once per sample.
+* ``build_samples(engine="fleet")`` (default) — ONE cross-DIMM pass: the
+  log store's columnar fleet view feeds
+  :class:`~repro.features.windows.FleetWindows`, and the temporal, spatial
+  and bit-level extractors' ``compute_batch`` run once over the whole
+  fleet's ragged arrays.  Optionally sharded over a process pool
+  (``workers=``) with columnar pickling.
 
-All three produce identical matrices (enforced by the fleet-parity tests).
+Around them: :func:`repro.distributed.coordinator.build_samples_distributed`
+shards the fleet pass over shard files, and online serving
+(:class:`~repro.streaming.incremental.IncrementalFeatureExtractor`) keeps a
+per-DIMM incremental window state — both pinned to ``transform_one`` by
+the parity suites.
 """
 
 from __future__ import annotations
@@ -49,17 +53,12 @@ from repro.features.spatial import SpatialExtractor
 from repro.features.static import EnvironmentExtractor, StaticEncoder
 from repro.features.temporal import TemporalExtractor
 from repro.obs.tracing import NULL_TRACER
-from repro.features.windows import (
-    BatchWindows,
-    DimmHistory,
-    FleetWindows,
-    as_dimm_history,
-)
+from repro.features.windows import DimmHistory, FleetWindows
 from repro.telemetry.columnar import CE_SERVER, CE_T, FleetArrays
 from repro.telemetry.log_store import LogStore
 
 #: Engine names accepted by :meth:`FeaturePipeline.build_samples`.
-ENGINES = ("fleet", "batch", "per_sample")
+ENGINES = ("fleet", "per_sample")
 
 
 def server_ce_times(store: LogStore) -> dict[str, np.ndarray]:
@@ -153,16 +152,16 @@ class FeaturePipeline:
 
     # -- transformation ------------------------------------------------------
 
-    def transform_one(self, history, config, t: float) -> np.ndarray:
+    def transform_one(
+        self, history: DimmHistory, config, t: float
+    ) -> np.ndarray:
         """Feature vector for one DIMM at one instant.
 
         The executable reference every other feature path is pinned to,
-        bit for bit.  ``history`` may be a :class:`DimmHistory` or an
-        :class:`~repro.features.windows.AppendableDimmHistory`.
+        bit for bit.
         """
         if not self._fitted:
             raise RuntimeError("pipeline not fitted")
-        history = as_dimm_history(history)
         temporal = self.temporal.compute(history, t)
         own_count_5d = temporal[3]  # 5-day CE count (4th sub-window)
         windowed = (
@@ -172,39 +171,6 @@ class FeaturePipeline:
             + self.environment.compute(history.server_id, own_count_5d, t)
         )
         return np.asarray(windowed + self.static.compute(config), dtype=float)
-
-    def transform_batch(
-        self,
-        history,
-        config,
-        ts: np.ndarray,
-    ) -> np.ndarray:
-        """Feature matrix for one DIMM at many instants (batch engine).
-
-        Every extractor computes its block over the same precomputed
-        :class:`BatchWindows` indices; the output equals stacking
-        :meth:`transform_one` row-by-row, bit-for-bit.
-        """
-        if not self._fitted:
-            raise RuntimeError("pipeline not fitted")
-        history = as_dimm_history(history)
-        ts = np.asarray(ts, dtype=float)
-        if ts.size == 0:
-            return np.empty((0, len(self.feature_names())))
-        windows = BatchWindows(history, ts)
-        temporal = self.temporal.compute_batch(history, ts, windows)
-        own_counts_5d = temporal[:, 3]  # 5-day CE count (4th sub-window)
-        return np.hstack(
-            [
-                temporal,
-                self.spatial.compute_batch(history, ts, windows),
-                self.bitlevel.compute_batch(history, ts, windows),
-                self.environment.compute_batch(
-                    history.server_id, own_counts_5d, ts
-                ),
-                self.static.compute_batch(config, ts.size),
-            ]
-        )
 
     def transform_fleet(
         self,
@@ -217,10 +183,10 @@ class FeaturePipeline:
 
         ``ts`` / ``sample_seg`` must be grouped by ascending segment (DIMM
         index into ``fleet``), the order :meth:`build_samples` produces;
-        ``configs[i]`` is segment ``i``'s config.  Output rows equal the
-        concatenation of the per-DIMM :meth:`transform_batch` matrices,
-        bit-for-bit — but the five extractors each run once over the whole
-        fleet instead of once per DIMM.
+        ``configs[i]`` is segment ``i``'s config.  Row ``i`` equals
+        :meth:`transform_one` of segment ``sample_seg[i]``'s history at
+        ``ts[i]``, bit-for-bit — but the five extractors each run once over
+        the whole fleet instead of once per sample.
         """
         if not self._fitted:
             raise RuntimeError("pipeline not fitted")
@@ -253,7 +219,6 @@ class FeaturePipeline:
         store: LogStore,
         platform: str = "",
         campaign_end_hour: float | None = None,
-        use_batch: bool = True,
         engine: str | None = None,
         workers: int | None = None,
         tracer=None,
@@ -263,19 +228,18 @@ class FeaturePipeline:
         """Batch construction of the labeled sample set for one platform.
 
         ``engine`` picks the extraction strategy (see module docstring);
-        the default is the cross-DIMM fleet pass.  ``use_batch=False`` is
-        back-compat shorthand for ``engine="per_sample"``.  ``workers``
+        the default (``None``) is the cross-DIMM fleet pass.  ``workers``
         shards the fleet pass across a process pool (threads, then serial,
         as fallbacks); every engine and worker count yields bit-for-bit
         identical sample sets.  ``tracer`` optionally records fit/extract
         spans (:mod:`repro.obs`); ``obs`` passes the whole bundle (its
         tracer wins unless ``tracer`` is set) and ``heartbeat_every``
         publishes live ``build_samples`` heartbeats — per completed shard
-        on the fleet engine, every N DIMMs otherwise.  Extraction itself
-        is untouched either way.
+        on the fleet engine, every N DIMMs (and after the last) otherwise.
+        Extraction itself is untouched either way.
         """
         if engine is None:
-            engine = "fleet" if use_batch else "per_sample"
+            engine = "fleet"
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
         if tracer is None:
@@ -301,9 +265,8 @@ class FeaturePipeline:
                         store, platform, end_hour, workers,
                         obs=obs, heartbeat_every=hb,
                     )
-                return self._build_per_dimm(
-                    store, platform, end_hour, engine == "batch",
-                    obs=obs, heartbeat_every=hb,
+                return self._build_per_sample(
+                    store, platform, end_hour, obs=obs, heartbeat_every=hb,
                 )
 
     # -- fleet engine -------------------------------------------------------
@@ -437,14 +400,13 @@ class FeaturePipeline:
                 progress(len(results), len(payloads), results[-1])
         return results
 
-    # -- per-DIMM engines (retained reference paths) ------------------------
+    # -- per-sample reference engine -----------------------------------------
 
-    def _build_per_dimm(
+    def _build_per_sample(
         self,
         store: LogStore,
         platform: str,
         end_hour: float,
-        use_batch: bool,
         obs=None,
         heartbeat_every: int = 0,
     ) -> SampleSet:
@@ -458,16 +420,9 @@ class FeaturePipeline:
         dimm_parts: list[np.ndarray] = []
 
         hb = heartbeat_every if obs is not None else 0
-        dimm_ids_all = store.dimm_ids_with_ces()
-        hb_total = len(dimm_ids_all)
-        for hb_done, dimm_id in enumerate(dimm_ids_all, start=1):
-            if hb and hb_done % hb == 0:
-                obs.heartbeat("build_samples", {
-                    "dimms": hb_done,
-                    "total": hb_total,
-                    "fraction": hb_done / hb_total,
-                    "samples": sum(part.size for part in time_parts),
-                })
+        dimm_ids = store.dimm_ids_with_ces()
+        n_samples = 0
+        for done, dimm_id in enumerate(dimm_ids, start=1):
             ces = store.ces_for_dimm(dimm_id)
             events = store.events_for_dimm(dimm_id)
             history = DimmHistory.from_records(dimm_id, ces, events)
@@ -475,29 +430,33 @@ class FeaturePipeline:
             ues = store.ues_for_dimm(dimm_id)
             ue_hour = ues[0].timestamp_hours if ues else None
 
-            candidates = choose_sample_times(
-                history.times,
-                sampling.max_samples_per_dimm,
-                sampling.min_history_ces,
-                rng,
+            ts = np.asarray(
+                choose_sample_times(
+                    history.times,
+                    sampling.max_samples_per_dimm,
+                    sampling.min_history_ces,
+                    rng,
+                ),
+                dtype=float,
             )
-            if candidates.size == 0:
-                continue
-            ts = np.asarray(candidates, dtype=float)
             ts = ts[valid_sample_mask(ts, ue_hour, end_hour, labeling)]
-            if ts.size == 0:
-                continue
-
-            if use_batch:
-                block = self.transform_batch(history, config, ts)
-            else:
-                block = np.vstack(
+            if ts.size:
+                blocks.append(np.vstack(
                     [self.transform_one(history, config, float(t)) for t in ts]
-                )
-            blocks.append(block)
-            label_parts.append(labels_at(ts, ue_hour, labeling))
-            time_parts.append(ts)
-            dimm_parts.append(np.full(ts.size, dimm_id, dtype=object))
+                ))
+                label_parts.append(labels_at(ts, ue_hour, labeling))
+                time_parts.append(ts)
+                dimm_parts.append(np.full(ts.size, dimm_id, dtype=object))
+                n_samples += ts.size
+            # Published once this DIMM is done, so the last heartbeat
+            # reports the whole build.
+            if hb and (done % hb == 0 or done == len(dimm_ids)):
+                obs.heartbeat("build_samples", {
+                    "dimms": done,
+                    "total": len(dimm_ids),
+                    "fraction": done / len(dimm_ids),
+                    "samples": n_samples,
+                })
 
         names = self.feature_names()
         if blocks:

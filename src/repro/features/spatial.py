@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.features.windows import EPS, BatchWindows, DimmHistory
+from repro.features.windows import EPS, DimmHistory, FleetWindows
+from repro.telemetry.columnar import FleetArrays
 
 
 class SpatialExtractor:
@@ -114,19 +115,14 @@ class SpatialExtractor:
         return window.spatial_block()
 
     def compute_batch(
-        self,
-        history: DimmHistory,
-        ts: np.ndarray,
-        windows: BatchWindows | None = None,
+        self, fleet: FleetArrays, ts: np.ndarray, windows: FleetWindows
     ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times.
+        """Vectorized :meth:`compute` for many samples across the fleet.
 
         Windows are flattened into (sample, CE) pairs — overlapping windows
         duplicate members, but every group statistic then reduces to sorted
         run-length segments, with no per-sample Python loops.
         """
-        if windows is None:
-            windows = BatchWindows(history, ts)
         n = windows.ts.size
         out = np.zeros((n, len(self.names())), dtype=float)
         lo = windows.lo(self.observation_hours)
@@ -135,10 +131,10 @@ class SpatialExtractor:
         if sid.size == 0:
             return out
 
-        rows = history.rows[idx]
-        columns = history.columns[idx]
-        banks = history.banks[idx]
-        devices = history.devices[idx]
+        rows = fleet.rows[idx]
+        columns = fleet.columns[idx]
+        banks = fleet.banks[idx]
+        devices = fleet.devices[idx]
 
         # Incremental composition (same keys _compose builds, one multiply
         # per level instead of re-deriving every prefix).

@@ -51,11 +51,6 @@ class StaticEncoder:
             part_code,
         ]
 
-    def compute_batch(self, config: DimmConfigRecord, n_samples: int) -> np.ndarray:
-        """Static features are time-invariant: one row, tiled."""
-        row = np.asarray(self.compute(config), dtype=float)
-        return np.tile(row, (n_samples, 1))
-
     def compute_rows(self, configs) -> np.ndarray:
         """One static row per config (the fleet pass repeats per segment)."""
         rows = [self.compute(config) for config in configs]
@@ -147,36 +142,18 @@ class EnvironmentExtractor:
         already advanced to ``t`` (its own 5-day count included)."""
         return window.environment_block(t)
 
-    def compute_batch(
-        self, server_id: str, own_counts_5d: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times."""
-        ts = np.asarray(ts, dtype=float)
-        times = self._server_times.get(server_id)
-        if times is None:
-            return np.zeros((ts.size, 2))
-        bounds = np.searchsorted(
-            times,
-            np.concatenate([ts + EPS, ts - self.observation_hours]),
-            side="left",
-        )
-        sibling = np.maximum(
-            0.0, (bounds[: ts.size] - bounds[ts.size :]).astype(float) - own_counts_5d
-        )
-        return np.column_stack([sibling, (sibling > 0).astype(float)])
-
     def compute_fleet(
         self,
         server_codes: np.ndarray,
         own_counts_5d: np.ndarray,
         ts: np.ndarray,
     ) -> np.ndarray:
-        """One cross-fleet pass of :meth:`compute_batch`.
+        """Vectorized :meth:`compute` for many samples across the fleet.
 
         ``server_codes[i]`` is the :meth:`server_code` of sample ``i``'s
         server (-1 for servers unseen at fit time, which score zeros just
-        like the per-DIMM path).  One segmented merge replaces the
-        per-DIMM ``np.searchsorted`` pair, bit-for-bit.
+        like :meth:`compute`).  One segmented merge replaces the
+        per-sample ``np.searchsorted`` pair, bit-for-bit.
         """
         ts = np.asarray(ts, dtype=float)
         server_codes = np.asarray(server_codes, dtype=np.int64)

@@ -7,9 +7,10 @@ import numpy as np
 from repro.features.windows import (
     EPS,
     SUB_WINDOWS_HOURS,
-    BatchWindows,
     DimmHistory,
+    FleetWindows,
 )
+from repro.telemetry.columnar import FleetArrays
 
 
 class TemporalExtractor:
@@ -93,18 +94,13 @@ class TemporalExtractor:
         return window.temporal_block(t)
 
     def compute_batch(
-        self,
-        history: DimmHistory,
-        ts: np.ndarray,
-        windows: BatchWindows | None = None,
+        self, fleet: FleetArrays, ts: np.ndarray, windows: FleetWindows
     ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times."""
-        if windows is None:
-            windows = BatchWindows(history, ts)
+        """Vectorized :meth:`compute` for many samples across the fleet."""
         ts = windows.ts
         n = ts.size
         observation = self.observation_hours
-        times = history.times
+        times = fleet.times
         windows.prefetch(SUB_WINDOWS_HOURS + (observation, 24.0))
         hi = windows.hi
         lo_obs = windows.lo(observation)
@@ -164,8 +160,8 @@ class TemporalExtractor:
         out[:, base + 5] = min_gap
         out[:, base + 6] = max_hourly
         # Storm / repair event counts resolve through the windows object so
-        # the same code serves per-DIMM (plain searchsorted) and fleet
-        # (segment-aware) extraction.
+        # the same code serves the offline pass and the replay kernels'
+        # arrival-exact prefixes.
         storm_5d, storm_total = windows.storm_counts(observation)
         out[:, base + 7] = storm_5d
         out[:, base + 8] = storm_total

@@ -1,19 +1,15 @@
-"""Per-DIMM history in array form for fast windowed feature extraction.
+"""Per-DIMM history in array form, and fleet-wide window indices.
 
 The feature extractors slice a DIMM's CE/event history by time window many
 times per sample; :class:`DimmHistory` stores everything as sorted numpy
-arrays so each slice is two binary searches.
+arrays so each slice is two binary searches.  It is what the per-sample
+reference (``FeaturePipeline.transform_one``) reads.
 
-Two batch-era companions live here as well:
-
-* :class:`BatchWindows` precomputes, once per (history, sample-times) pair,
-  the window boundary indices every extractor needs — one
-  ``np.searchsorted`` of all sample times per distinct boundary array —
-  so the vectorized ``compute_batch`` paths replace per-sample slicing
-  with cumulative-sum / segment aggregations over shared indices.
-* :class:`AppendableDimmHistory` grows amortised-O(1) per record (doubling
-  buffers) and hands out zero-copy :class:`DimmHistory` views, so streaming
-  consumers stop rebuilding every array from raw records on each CE.
+:class:`FleetWindows` is the fast path's companion: it resolves the window
+boundary indices every extractor needs for many samples of many DIMMs in
+one fleet-wide merge, so the vectorized ``compute_batch`` paths replace
+per-sample slicing with cumulative-sum / segment aggregations over shared
+indices.
 """
 
 from __future__ import annotations
@@ -144,44 +140,58 @@ class DimmHistory:
         return int(self.times.size)
 
 
-def as_dimm_history(history) -> DimmHistory:
-    """Accept either a :class:`DimmHistory` or anything with a ``view()``."""
-    view = getattr(history, "view", None)
-    return view() if callable(view) else history
+class FleetWindows:
+    """Shared window indices for samples across a whole fleet at once.
 
-
-class BatchWindows:
-    """Shared precomputed window indices for a batch of sample times.
-
-    Every extractor's ``compute_batch`` works off the same ``(lo, hi)``
-    index pairs into ``history.times``: ``hi`` is computed once, and the
-    ``lo`` for each distinct window length is computed on first use and
-    cached, so the whole feature layer issues one ``np.searchsorted`` per
-    boundary array instead of two per (sample, window) pair.
+    ``fleet`` is a :class:`repro.telemetry.columnar.FleetArrays` — every
+    DIMM's history concatenated into ragged arrays — and sample ``i``
+    belongs to DIMM segment ``sample_seg[i]``.  Every extractor's
+    ``compute_batch`` works off the same ``(lo, hi)`` index pairs: ``hi``
+    is resolved once, and the ``lo`` for each distinct window length on
+    first use (cached).  Window indices are *global* (into the concatenated
+    arrays), and every boundary resolution happens in one fleet-wide merge
+    (:func:`segmented_searchsorted`) instead of two ``np.searchsorted``
+    calls per DIMM.  Because window members never cross segment
+    boundaries, the aggregations (``counts`` / ``expand`` / ``pairs`` and
+    the extractors' segment reductions keyed by sample id) run once over
+    the whole fleet, bit-for-bit equal to
+    :meth:`~repro.features.pipeline.FeaturePipeline.transform_one` per
+    sample.
     """
 
-    def __init__(self, history: DimmHistory, ts: np.ndarray):
-        self.history = history
+    def __init__(
+        self, fleet: FleetArrays, ts: np.ndarray, sample_seg: np.ndarray
+    ):
+        self.history = fleet
         self.ts = np.asarray(ts, dtype=float)
+        self.sample_seg = np.asarray(sample_seg, dtype=np.int64)
         #: Window end bound (``t + EPS``), shared by every window length.
         self.ends = self.ts + EPS
-        self.hi = np.searchsorted(history.times, self.ends, side="left")
+        self._base = fleet.ce_offsets[self.sample_seg]
+        self.hi = self._resolve(self.ends)
         self._lo: dict[float, np.ndarray] = {}
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _resolve(self, boundaries: np.ndarray) -> np.ndarray:
+        within = segmented_searchsorted(
+            self.history.times,
+            self.history.ce_offsets,
+            boundaries,
+            self.sample_seg,
+        )
+        return within + self._base
 
     def lo(self, window_hours: float) -> np.ndarray:
         """Start indices of the ``[t - w, t + EPS)`` windows (cached)."""
         key = float(window_hours)
         lo = self._lo.get(key)
         if lo is None:
-            lo = np.searchsorted(
-                self.history.times, self.ts - key, side="left"
-            )
+            lo = self._resolve(self.ts - key)
             self._lo[key] = lo
         return lo
 
     def prefetch(self, windows_hours) -> None:
-        """Resolve several window lengths with one fused ``searchsorted``."""
+        """Resolve several window lengths with one fused segmented merge."""
         missing = [
             w for w in dict.fromkeys(map(float, windows_hours))
             if w not in self._lo
@@ -189,10 +199,13 @@ class BatchWindows:
         if not missing:
             return
         boundaries = np.concatenate([self.ts - w for w in missing])
-        found = np.searchsorted(self.history.times, boundaries, side="left")
+        segments = np.tile(self.sample_seg, len(missing))
+        found = segmented_searchsorted(
+            self.history.times, self.history.ce_offsets, boundaries, segments
+        )
         n = self.ts.size
         for j, w in enumerate(missing):
-            self._lo[w] = found[j * n : (j + 1) * n]
+            self._lo[w] = found[j * n : (j + 1) * n] + self._base
 
     def counts(self, window_hours: float) -> np.ndarray:
         """CE counts in ``[t - w, t + EPS)`` per sample."""
@@ -228,8 +241,6 @@ class BatchWindows:
             self._pairs[key] = cached
         return cached
 
-    # -- history context hooks (overridden segment-aware by FleetWindows) --
-
     def gap_array(self) -> np.ndarray:
         """Inter-arrival gaps of ``history.times`` with an ``inf`` sentinel.
 
@@ -246,103 +257,6 @@ class BatchWindows:
 
     def since_first(self, observation_hours: float) -> np.ndarray:
         """Hours between each sample time and its DIMM's first CE."""
-        times = self.history.times
-        if times.size:
-            return self.ts - times[0]
-        return np.full(self.ts.size, float(observation_hours))
-
-    def storm_counts(
-        self, observation_hours: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample CE-storm counts in ``[t - w, t + EPS)`` and ``[0, t + EPS)``."""
-        storm_times = self.history.storm_times
-        n = self.ts.size
-        if not storm_times.size:
-            return np.zeros(n), np.zeros(n)
-        bounds = np.searchsorted(
-            storm_times,
-            np.concatenate([self.ends, self.ts - observation_hours]),
-            side="left",
-        )
-        lo0 = int(np.searchsorted(storm_times, 0.0, side="left"))
-        return bounds[:n] - bounds[n:], bounds[:n] - lo0
-
-    def repair_counts(self, observation_hours: float) -> np.ndarray:
-        """Per-sample repair-action counts in ``[t - w, t + EPS)``."""
-        repair_times = self.history.repair_times
-        n = self.ts.size
-        if not repair_times.size:
-            return np.zeros(n)
-        bounds = np.searchsorted(
-            repair_times,
-            np.concatenate([self.ends, self.ts - observation_hours]),
-            side="left",
-        )
-        return bounds[:n] - bounds[n:]
-
-
-class FleetWindows(BatchWindows):
-    """Segment-aware :class:`BatchWindows` over a whole fleet at once.
-
-    ``fleet`` is a :class:`repro.telemetry.columnar.FleetArrays` — every
-    DIMM's history concatenated into ragged arrays — and sample ``i``
-    belongs to DIMM segment ``sample_seg[i]``.  Window indices are *global*
-    (into the concatenated arrays), and every boundary resolution happens
-    in one fleet-wide merge (:func:`segmented_searchsorted`) instead of two
-    ``np.searchsorted`` calls per DIMM.  Because window members never cross
-    segment boundaries, the inherited aggregation machinery (``counts`` /
-    ``expand`` / ``pairs`` and the extractors' segment reductions keyed by
-    sample id) runs unchanged — once — over the whole fleet, bit-for-bit
-    equal to the per-DIMM passes it fuses.
-    """
-
-    def __init__(
-        self, fleet: FleetArrays, ts: np.ndarray, sample_seg: np.ndarray
-    ):
-        self.history = fleet
-        self.ts = np.asarray(ts, dtype=float)
-        self.sample_seg = np.asarray(sample_seg, dtype=np.int64)
-        self.ends = self.ts + EPS
-        self._base = fleet.ce_offsets[self.sample_seg]
-        self.hi = self._resolve(self.ends)
-        self._lo: dict[float, np.ndarray] = {}
-        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _resolve(self, boundaries: np.ndarray) -> np.ndarray:
-        within = segmented_searchsorted(
-            self.history.times,
-            self.history.ce_offsets,
-            boundaries,
-            self.sample_seg,
-        )
-        return within + self._base
-
-    def lo(self, window_hours: float) -> np.ndarray:
-        key = float(window_hours)
-        lo = self._lo.get(key)
-        if lo is None:
-            lo = self._resolve(self.ts - key)
-            self._lo[key] = lo
-        return lo
-
-    def prefetch(self, windows_hours) -> None:
-        """Resolve several window lengths with one fused segmented merge."""
-        missing = [
-            w for w in dict.fromkeys(map(float, windows_hours))
-            if w not in self._lo
-        ]
-        if not missing:
-            return
-        boundaries = np.concatenate([self.ts - w for w in missing])
-        segments = np.tile(self.sample_seg, len(missing))
-        found = segmented_searchsorted(
-            self.history.times, self.history.ce_offsets, boundaries, segments
-        )
-        n = self.ts.size
-        for j, w in enumerate(missing):
-            self._lo[w] = found[j * n : (j + 1) * n] + self._base
-
-    def since_first(self, observation_hours: float) -> np.ndarray:
         fleet = self.history
         counts = np.diff(fleet.ce_offsets)
         if fleet.times.size:
@@ -359,6 +273,7 @@ class FleetWindows(BatchWindows):
     def storm_counts(
         self, observation_hours: float
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample CE-storm counts in ``[t - w, t + EPS)`` and ``[0, t + EPS)``."""
         return self._event_counts(
             self.history.storm_times,
             self.history.storm_offsets,
@@ -367,6 +282,7 @@ class FleetWindows(BatchWindows):
         )
 
     def repair_counts(self, observation_hours: float) -> np.ndarray:
+        """Per-sample repair-action counts in ``[t - w, t + EPS)``."""
         return self._event_counts(
             self.history.repair_times,
             self.history.repair_offsets,
@@ -415,160 +331,3 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
     out = np.zeros(values.size + 1, dtype=float)
     np.cumsum(values, out=out[1:])
     return out
-
-
-class AppendableDimmHistory:
-    """Per-DIMM history that grows amortised-O(1) per appended record.
-
-    A record-at-a-time reference history (parity tests and the pipeline
-    throughput benchmark append each CE / memory event as it arrives;
-    online serving keeps an
-    :class:`~repro.streaming.incremental.IncrementalWindowState` instead).
-    :meth:`view` exposes the accumulated state as a zero-copy
-    :class:`DimmHistory` over the internal doubling buffers, so replay is
-    linear in the number of records instead of quadratic.
-    Out-of-order arrivals are tolerated: the buffers are re-sorted lazily
-    on the next :meth:`view`.
-    """
-
-    _FLOAT_COLUMNS = (
-        "times",
-        "dq_count",
-        "beat_count",
-        "dq_interval",
-        "beat_interval",
-        "n_devices",
-        "error_bits",
-    )
-    _INT_COLUMNS = ("rows", "columns", "banks", "devices")
-
-    def __init__(self, dimm_id: str, server_id: str = ""):
-        self.dimm_id = dimm_id
-        self.server_id = server_id
-        self._n = 0
-        self._cols: dict[str, np.ndarray] = {
-            name: np.empty(16, dtype=float) for name in self._FLOAT_COLUMNS
-        }
-        self._cols.update(
-            {name: np.empty(16, dtype=np.int64) for name in self._INT_COLUMNS}
-        )
-        self._storms = np.empty(8, dtype=float)
-        self._n_storms = 0
-        self._repairs = np.empty(8, dtype=float)
-        self._n_repairs = 0
-        self._ces_sorted = True
-        self._storms_sorted = True
-        self._repairs_sorted = True
-        self._view: DimmHistory | None = None
-
-    # -- ingestion ---------------------------------------------------------
-
-    def append(self, record) -> None:
-        """Dispatch on record type (UEs end a DIMM's life; not history)."""
-        if isinstance(record, CERecord):
-            self.append_ce(record)
-        elif isinstance(record, MemEventRecord):
-            self.append_event(record)
-        else:
-            raise TypeError(f"cannot append {type(record)!r}")
-
-    def append_ce(self, ce: CERecord) -> None:
-        cols = self._cols
-        i = self._n
-        if i == cols["times"].size:
-            self._grow()
-            cols = self._cols
-        cols["times"][i] = ce.timestamp_hours
-        cols["dq_count"][i] = ce.dq_count
-        cols["beat_count"][i] = ce.beat_count
-        cols["dq_interval"][i] = ce.dq_interval
-        cols["beat_interval"][i] = ce.beat_interval
-        cols["n_devices"][i] = len(ce.devices)
-        cols["error_bits"][i] = ce.error_bit_count
-        cols["rows"][i] = ce.row
-        cols["columns"][i] = ce.column
-        cols["banks"][i] = ce.bank
-        cols["devices"][i] = ce.devices[0] if ce.devices else 0
-        if i and ce.timestamp_hours < cols["times"][i - 1]:
-            self._ces_sorted = False
-        if not self.server_id:
-            self.server_id = ce.server_id
-        self._n = i + 1
-        self._view = None
-
-    def append_event(self, event: MemEventRecord) -> None:
-        if event.kind is MemEventKind.CE_STORM:
-            self._storms, self._n_storms, self._storms_sorted = _append_time(
-                self._storms, self._n_storms, self._storms_sorted,
-                event.timestamp_hours,
-            )
-            self._view = None
-        elif event.kind in REPAIR_KINDS:
-            self._repairs, self._n_repairs, self._repairs_sorted = _append_time(
-                self._repairs, self._n_repairs, self._repairs_sorted,
-                event.timestamp_hours,
-            )
-            self._view = None
-
-    def _grow(self) -> None:
-        for name, buffer in self._cols.items():
-            grown = np.empty(buffer.size * 2, dtype=buffer.dtype)
-            grown[: self._n] = buffer[: self._n]
-            self._cols[name] = grown
-
-    # -- views -------------------------------------------------------------
-
-    def view(self) -> DimmHistory:
-        """Current state as a :class:`DimmHistory` (zero-copy slices).
-
-        The view aliases the internal buffers: use it before the next
-        append (a later append may grow or re-sort the buffers in place).
-        """
-        if self._view is None:
-            n = self._n
-            if not self._ces_sorted:
-                order = np.argsort(self._cols["times"][:n], kind="stable")
-                for name, buffer in self._cols.items():
-                    buffer[:n] = buffer[:n][order]
-                self._ces_sorted = True
-            if not self._storms_sorted:
-                self._storms[: self._n_storms].sort()
-                self._storms_sorted = True
-            if not self._repairs_sorted:
-                self._repairs[: self._n_repairs].sort()
-                self._repairs_sorted = True
-            cols = self._cols
-            self._view = DimmHistory(
-                dimm_id=self.dimm_id,
-                server_id=self.server_id,
-                times=cols["times"][:n],
-                dq_count=cols["dq_count"][:n],
-                beat_count=cols["beat_count"][:n],
-                dq_interval=cols["dq_interval"][:n],
-                beat_interval=cols["beat_interval"][:n],
-                n_devices=cols["n_devices"][:n],
-                error_bits=cols["error_bits"][:n],
-                rows=cols["rows"][:n],
-                columns=cols["columns"][:n],
-                banks=cols["banks"][:n],
-                devices=cols["devices"][:n],
-                storm_times=self._storms[: self._n_storms],
-                repair_times=self._repairs[: self._n_repairs],
-            )
-        return self._view
-
-    def __len__(self) -> int:
-        return self._n
-
-
-def _append_time(
-    buffer: np.ndarray, n: int, was_sorted: bool, timestamp: float
-) -> tuple[np.ndarray, int, bool]:
-    if n == buffer.size:
-        grown = np.empty(buffer.size * 2, dtype=float)
-        grown[:n] = buffer[:n]
-        buffer = grown
-    buffer[n] = timestamp
-    if n and timestamp < buffer[n - 1]:
-        was_sorted = False
-    return buffer, n + 1, was_sorted

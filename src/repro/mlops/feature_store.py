@@ -133,11 +133,11 @@ class FeatureStore:
     def serve_online(self, history, config, t: float) -> np.ndarray:
         """Transform one DIMM state for online prediction.
 
-        ``history`` is a :class:`~repro.features.windows.DimmHistory` or an
-        :class:`~repro.features.windows.AppendableDimmHistory`.  Uses the
-        identical transform as :meth:`materialize`, which is the
-        train/serve-consistency guarantee the paper calls out; the online
-        service's incremental vectors are pinned bit for bit to it.
+        ``history`` is the DIMM's :class:`~repro.features.windows.DimmHistory`
+        up to ``t``.  Calls ``FeaturePipeline.transform_one``, the reference
+        that :meth:`materialize`'s fleet pass and the online service's
+        incremental vectors are pinned to bit for bit — the
+        train/serve-consistency guarantee the paper calls out.
         """
         self.stream_requests += 1
         return self.pipeline.transform_one(history, config, t)

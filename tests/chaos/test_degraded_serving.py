@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.risky_ce import heuristic_risk_score
 from repro.features.pipeline import FeaturePipeline
-from repro.features.windows import AppendableDimmHistory
+from repro.features.windows import DimmHistory
 from repro.mlops.feature_store import FeatureStore
 from repro.mlops.model_registry import ModelRegistry
 from repro.mlops.serving import AlarmSystem, OnlinePredictionService
@@ -140,10 +140,7 @@ class TestDegradationLadder:
 
 class TestHeuristicScore:
     def _history(self, ces):
-        history = AppendableDimmHistory("d0")
-        for ce in ces:
-            history.append_ce(ce)
-        return history.view()
+        return DimmHistory.from_records("d0", ces, [])
 
     def test_empty_history_scores_zero(self):
         assert heuristic_risk_score(self._history([])) == 0.0

@@ -52,11 +52,11 @@ def test_run_spec_file_with_engine_and_workers(tmp_path, capsys):
     }))
     code = main([
         "run", "--spec", str(spec_path),
-        "--engine", "batch", "--workers", "2",
+        "--engine", "per_sample", "--workers", "2",
     ])
     captured = capsys.readouterr().out
     assert code == 0
-    assert "engine=batch" in captured
+    assert "engine=per_sample" in captured
 
 
 def test_run_unknown_scenario_lists_choices(capsys):

@@ -228,12 +228,12 @@ class TestSpec:
     def test_override_round_trip(self):
         spec = RunSpec().with_overrides(
             ["scale=0.1", "models=lightgbm,random_forest", "workers=4",
-             "engine=batch", "seed=11"]
+             "engine=per_sample", "seed=11"]
         )
         assert spec.scale == 0.1
         assert spec.models == ("lightgbm", "random_forest")
         assert spec.workers == 4
-        assert spec.engine == "batch"
+        assert spec.engine == "per_sample"
         restored = RunSpec.from_dict(spec.to_dict())
         assert restored == spec
 
@@ -249,9 +249,12 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown RunSpec key"):
             RunSpec().with_overrides(["frobnicate=1"])
 
-    def test_validation(self):
+    @pytest.mark.parametrize("engine", ["warp", "batch"])
+    def test_unknown_engine_rejected(self, engine):
         with pytest.raises(ValueError, match="engine"):
-            RunSpec(engine="warp").validate()
+            RunSpec(engine=engine).validate()
+
+    def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             RunSpec(scale=0.0).validate()
         with pytest.raises(ValueError, match="duplicates"):

@@ -1,18 +1,21 @@
-"""Train/serve parity of the vectorized feature-extraction engine.
+"""Train/serve parity of the vectorized feature-extraction fast path.
 
-The batched ``compute_batch`` paths, the per-sample ``compute`` reference
-paths, and the online-serving path over an incrementally grown
-:class:`AppendableDimmHistory` must all produce bit-for-bit identical
-feature values — this is the train/serve-consistency guarantee the paper's
-feature store is built around.
+The fleet pass (:meth:`FeaturePipeline.transform_fleet`, and each
+extractor's ``compute_batch`` over :class:`FleetWindows`) and the
+per-sample ``transform_one`` reference must produce bit-for-bit identical
+feature values — over a DIMM's whole history, over every arrival prefix
+the online path serves, and over an empty history.  This is the
+train/serve-consistency guarantee the paper's feature store is built
+around.
 """
 
 import numpy as np
 import pytest
 
 from repro.features.pipeline import FeaturePipeline
-from repro.features.windows import AppendableDimmHistory, DimmHistory
+from repro.features.windows import DimmHistory, FleetWindows
 from repro.mlops.feature_store import FeatureStore
+from repro.telemetry.columnar import FleetArrays
 from repro.telemetry.records import CERecord, MemEventKind, MemEventRecord
 
 
@@ -29,6 +32,39 @@ def _history(store, dimm_id):
     )
 
 
+def _one_dimm_fleet(history):
+    """A one-segment :class:`FleetArrays` holding exactly ``history``."""
+    return FleetArrays(
+        dimm_ids=[history.dimm_id],
+        server_ids=[history.server_id],
+        times=history.times,
+        dq_count=history.dq_count,
+        beat_count=history.beat_count,
+        dq_interval=history.dq_interval,
+        beat_interval=history.beat_interval,
+        n_devices=history.n_devices,
+        error_bits=history.error_bits,
+        rows=history.rows,
+        columns=history.columns,
+        banks=history.banks,
+        devices=history.devices,
+        ce_offsets=np.array([0, len(history)]),
+        storm_times=history.storm_times,
+        storm_offsets=np.array([0, history.storm_times.size]),
+        repair_times=history.repair_times,
+        repair_offsets=np.array([0, history.repair_times.size]),
+        ue_hours=np.array([np.nan]),
+    )
+
+
+def _fleet_rows(pipeline, history, config, ts):
+    """The fleet pass's rows for one DIMM at ``ts``."""
+    ts = np.asarray(ts, dtype=float)
+    return pipeline.transform_fleet(
+        _one_dimm_fleet(history), [config], ts, np.zeros(ts.size, np.int64)
+    )
+
+
 def _sample_times(history):
     """CE instants, off-CE instants, and out-of-range extremes."""
     return np.concatenate(
@@ -36,7 +72,7 @@ def _sample_times(history):
     )
 
 
-class TestBatchMatchesPerSample:
+class TestFleetMatchesPerSample:
     def test_full_pipeline_bit_for_bit(self, purley_sim, fitted):
         store = purley_sim.store
         checked = 0
@@ -44,11 +80,11 @@ class TestBatchMatchesPerSample:
             history = _history(store, dimm_id)
             config = store.config_for(dimm_id)
             ts = _sample_times(history)
-            batch = fitted.transform_batch(history, config, ts)
+            fleet = _fleet_rows(fitted, history, config, ts)
             reference = np.vstack(
                 [fitted.transform_one(history, config, float(t)) for t in ts]
             )
-            assert np.array_equal(batch, reference), dimm_id
+            assert np.array_equal(fleet, reference), dimm_id
             checked += ts.size
         assert checked > 0
 
@@ -56,9 +92,11 @@ class TestBatchMatchesPerSample:
         store = purley_sim.store
         dimm_id = store.dimm_ids_with_ces()[0]
         history = _history(store, dimm_id)
+        fleet = _one_dimm_fleet(history)
         ts = _sample_times(history)
+        windows = FleetWindows(fleet, ts, np.zeros(ts.size, np.int64))
         for extractor in (fitted.temporal, fitted.spatial, fitted.bitlevel):
-            batch = extractor.compute_batch(history, ts)
+            batch = extractor.compute_batch(fleet, ts, windows)
             reference = np.vstack(
                 [extractor.compute(history, float(t)) for t in ts]
             )
@@ -70,36 +108,46 @@ class TestBatchMatchesPerSample:
         config = store.config_for(dimm_id)
         empty = DimmHistory.from_records("empty", [], [])
         ts = np.array([10.0, 500.0])
-        batch = fitted.transform_batch(empty, config, ts)
+        fleet = _fleet_rows(fitted, empty, config, ts)
         reference = np.vstack(
             [fitted.transform_one(empty, config, float(t)) for t in ts]
         )
-        assert np.array_equal(batch, reference)
+        assert np.array_equal(fleet, reference)
 
     def test_empty_ts(self, fitted, purley_sim):
         store = purley_sim.store
         dimm_id = store.dimm_ids_with_ces()[0]
         history = _history(store, dimm_id)
         config = store.config_for(dimm_id)
-        out = fitted.transform_batch(history, config, np.empty(0))
+        out = _fleet_rows(fitted, history, config, np.empty(0))
         assert out.shape == (0, len(fitted.feature_names()))
 
-    def test_build_samples_batch_equals_per_sample(self, purley_sim, fitted):
+    def test_build_samples_fleet_equals_per_sample(self, purley_sim, fitted):
         store = purley_sim.store
-        batch = fitted.build_samples(store, "intel_purley",
+        fleet = fitted.build_samples(store, "intel_purley",
                                      purley_sim.duration_hours)
         reference = fitted.build_samples(store, "intel_purley",
                                          purley_sim.duration_hours,
-                                         use_batch=False)
-        assert np.array_equal(batch.X, reference.X)
-        assert np.array_equal(batch.y, reference.y)
-        assert np.array_equal(batch.times, reference.times)
-        assert list(batch.dimm_ids) == list(reference.dimm_ids)
+                                         engine="per_sample")
+        assert np.array_equal(fleet.X, reference.X)
+        assert np.array_equal(fleet.y, reference.y)
+        assert np.array_equal(fleet.times, reference.times)
+        assert list(fleet.dimm_ids) == list(reference.dimm_ids)
+
+
+def _ce(t, row=1):
+    return CERecord(
+        timestamp_hours=t, server_id="s0", dimm_id="d0", rank=0,
+        bank=0, row=row, column=1, devices=(0,), dq_count=1,
+        beat_count=1, dq_interval=0, beat_interval=0,
+        error_bit_count=1,
+    )
 
 
 class TestOnlineServingParity:
-    def test_appendable_matches_batch_row(self, purley_sim, fitted):
-        """Streaming state == from_records == batch row, at every instant."""
+    def test_prefix_matches_fleet_row(self, purley_sim, fitted):
+        """serve_online == transform_one == fleet row on every arrival
+        prefix (events logged so far included)."""
         store = purley_sim.store
         feature_store = FeatureStore(fitted)
         checked = 0
@@ -108,10 +156,8 @@ class TestOnlineServingParity:
             events = store.events_for_dimm(dimm_id)
             config = store.config_for(dimm_id)
             merged = sorted(ces + events, key=lambda r: r.timestamp_hours)
-            appendable = AppendableDimmHistory(dimm_id)
             seen_ces, seen_events = [], []
             for record in merged:
-                appendable.append(record)
                 if isinstance(record, CERecord):
                     seen_ces.append(record)
                 else:
@@ -119,57 +165,36 @@ class TestOnlineServingParity:
                 if len(seen_ces) < 2:
                     continue
                 t = record.timestamp_hours
-                online = feature_store.serve_online(appendable, config, t)
-                rebuilt = DimmHistory.from_records(
+                prefix = DimmHistory.from_records(
                     dimm_id, seen_ces, seen_events
                 )
-                reference = fitted.transform_one(rebuilt, config, t)
-                batch_row = fitted.transform_batch(
-                    rebuilt, config, np.array([t])
-                )[0]
+                online = feature_store.serve_online(prefix, config, t)
+                reference = fitted.transform_one(prefix, config, t)
+                fleet_row = _fleet_rows(fitted, prefix, config, [t])[0]
                 assert np.array_equal(online, reference)
-                assert np.array_equal(online, batch_row)
+                assert np.array_equal(online, fleet_row)
                 checked += 1
         assert checked > 0
 
-    def test_out_of_order_appends_are_resorted(self):
-        def ce(t):
-            return CERecord(
-                timestamp_hours=t, server_id="s0", dimm_id="d0", rank=0,
-                bank=0, row=1, column=1, devices=(0,), dq_count=1,
-                beat_count=1, dq_interval=0, beat_interval=0,
-                error_bit_count=1,
-            )
-
-        appendable = AppendableDimmHistory("d0")
-        for t in (3.0, 1.0, 2.0):
-            appendable.append_ce(ce(t))
-        appendable.append_event(
-            MemEventRecord(5.0, "s0", "d0", MemEventKind.CE_STORM)
+    def test_from_records_sorts_out_of_order_records(self):
+        history = DimmHistory.from_records(
+            "d0",
+            [_ce(3.0), _ce(1.0), _ce(2.0)],
+            [
+                MemEventRecord(5.0, "s0", "d0", MemEventKind.CE_STORM),
+                MemEventRecord(4.0, "s0", "d0", MemEventKind.PAGE_OFFLINE),
+            ],
         )
-        appendable.append_event(
-            MemEventRecord(4.0, "s0", "d0", MemEventKind.PAGE_OFFLINE)
+        assert list(history.times) == [1.0, 2.0, 3.0]
+        assert history.storms_in(0.0, 10.0) == 1
+        assert history.repairs_in(0.0, 10.0) == 1
+        assert len(history) == 3
+
+    def test_from_records_keeps_columns_aligned(self):
+        times = [float(t) for t in range(100)]
+        history = DimmHistory.from_records(
+            "d0", [_ce(t, row=int(t)) for t in reversed(times)], []
         )
-        view = appendable.view()
-        assert list(view.times) == [1.0, 2.0, 3.0]
-        assert view.storms_in(0.0, 10.0) == 1
-        assert view.repairs_in(0.0, 10.0) == 1
-        assert len(appendable) == 3
-
-    def test_buffer_growth_preserves_history(self):
-        def ce(t):
-            return CERecord(
-                timestamp_hours=t, server_id="s0", dimm_id="d0", rank=0,
-                bank=0, row=int(t), column=1, devices=(0,), dq_count=1,
-                beat_count=1, dq_interval=0, beat_interval=0,
-                error_bit_count=1,
-            )
-
-        appendable = AppendableDimmHistory("d0")
-        times = [float(t) for t in range(100)]  # forces several doublings
-        for t in times:
-            appendable.append_ce(ce(t))
-        view = appendable.view()
-        assert list(view.times) == times
-        assert list(view.rows) == [int(t) for t in times]
-        assert view.server_id == "s0"
+        assert list(history.times) == times
+        assert list(history.rows) == [int(t) for t in times]
+        assert history.server_id == "s0"

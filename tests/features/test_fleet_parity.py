@@ -1,17 +1,17 @@
 """Parity of the cross-DIMM fleet extraction engine.
 
 The fleet pass (one :class:`FleetWindows` over every DIMM's concatenated
-history), the per-DIMM batch path (:meth:`transform_batch`), the per-sample
-reference (:meth:`transform_one`) and the sharded parallel build must all
-produce bit-for-bit identical feature matrices and sample sets — across all
-three simulated platforms.
+history), the per-sample reference (:meth:`transform_one`) and the sharded
+parallel build must all produce bit-for-bit identical feature matrices and
+sample sets — across all three simulated platforms.
 """
 
 import numpy as np
 import pytest
 
-from repro.features.pipeline import FeaturePipeline
+from repro.features.pipeline import ENGINES, FeaturePipeline
 from repro.features.windows import DimmHistory
+from repro.obs.tracing import NULL_TRACER
 from repro.telemetry.log_store import LogStore
 
 
@@ -28,67 +28,61 @@ def fitted(platform_sim):
     return pipeline
 
 
+def _reference_rows(fitted, store, dimm_id, ts):
+    history = DimmHistory.from_records(
+        dimm_id, store.ces_for_dimm(dimm_id), store.events_for_dimm(dimm_id)
+    )
+    config = store.config_for(dimm_id)
+    return [fitted.transform_one(history, config, float(t)) for t in ts]
+
+
 class TestFleetMatrixParity:
-    def test_transform_fleet_equals_per_dimm_batch(self, platform_sim, fitted):
-        """Fleet rows == concatenated per-DIMM transform_batch blocks."""
+    def test_transform_fleet_equals_per_sample_at_any_instant(
+        self, platform_sim, fitted
+    ):
+        """Fleet rows == transform_one at CE instants, off-CE instants and
+        out-of-range extremes, over the first 40 DIMMs."""
         _, sim = platform_sim
         store = sim.store
         fleet = store.fleet_arrays()
-        ts_parts, seg_parts, reference_parts = [], [], []
+        ts_parts, seg_parts, rows = [], [], []
         for i, dimm_id in enumerate(fleet.dimm_ids[:40]):
             lo, hi = fleet.ce_offsets[i], fleet.ce_offsets[i + 1]
             times = fleet.times[lo:hi]
-            # CE instants, off-CE instants, and out-of-range extremes.
             ts = np.concatenate([times, times + 0.37, [0.0, 1e6]])
             ts.sort()
             ts_parts.append(ts)
             seg_parts.append(np.full(ts.size, i, dtype=np.int64))
-            history = DimmHistory.from_records(
-                dimm_id,
-                store.ces_for_dimm(dimm_id),
-                store.events_for_dimm(dimm_id),
-            )
-            reference_parts.append(
-                fitted.transform_batch(history, store.config_for(dimm_id), ts)
-            )
+            rows.extend(_reference_rows(fitted, store, dimm_id, ts))
         n_checked = len(ts_parts)
-        shard = fleet.shard(0, n_checked)
-        configs = [store.config_for(d) for d in fleet.dimm_ids[:n_checked]]
         fleet_X = fitted.transform_fleet(
-            shard,
-            configs,
+            fleet.shard(0, n_checked),
+            [store.config_for(d) for d in fleet.dimm_ids[:n_checked]],
             np.concatenate(ts_parts),
             np.concatenate(seg_parts),
         )
-        reference = np.vstack(reference_parts)
-        assert np.array_equal(fleet_X, reference)
+        assert np.array_equal(fleet_X, np.vstack(rows))
 
     def test_transform_fleet_equals_per_sample(self, platform_sim, fitted):
-        """Fleet rows == transform_one, sample by sample."""
+        """Fleet rows == transform_one on a mid-fleet shard, whose segment
+        offsets are re-based."""
         _, sim = platform_sim
         store = sim.store
         fleet = store.fleet_arrays()
         n = min(5, fleet.n_dimms)
-        shard = fleet.shard(0, n)
+        first = (fleet.n_dimms - n) // 2
+        shard = fleet.shard(first, first + n)
         ts_parts, seg_parts, rows = [], [], []
-        for i, dimm_id in enumerate(fleet.dimm_ids[:n]):
-            lo, hi = fleet.ce_offsets[i], fleet.ce_offsets[i + 1]
-            ts = np.concatenate([fleet.times[lo:hi][:10], [0.0, 1e6]])
+        for i, dimm_id in enumerate(shard.dimm_ids):
+            lo, hi = shard.ce_offsets[i], shard.ce_offsets[i + 1]
+            ts = np.concatenate([shard.times[lo:hi][:10], [0.0, 1e6]])
             ts.sort()
             ts_parts.append(ts)
             seg_parts.append(np.full(ts.size, i, dtype=np.int64))
-            history = DimmHistory.from_records(
-                dimm_id,
-                store.ces_for_dimm(dimm_id),
-                store.events_for_dimm(dimm_id),
-            )
-            config = store.config_for(dimm_id)
-            rows.extend(
-                fitted.transform_one(history, config, float(t)) for t in ts
-            )
+            rows.extend(_reference_rows(fitted, store, dimm_id, ts))
         fleet_X = fitted.transform_fleet(
             shard,
-            [store.config_for(d) for d in fleet.dimm_ids[:n]],
+            [store.config_for(d) for d in shard.dimm_ids],
             np.concatenate(ts_parts),
             np.concatenate(seg_parts),
         )
@@ -96,23 +90,19 @@ class TestFleetMatrixParity:
 
 
 class TestBuildSamplesParity:
-    def test_fleet_equals_batch_equals_per_sample(self, platform_sim, fitted):
+    def test_fleet_equals_per_sample(self, platform_sim, fitted):
         name, sim = platform_sim
         store = sim.store
         fleet = fitted.build_samples(
             store, name, sim.duration_hours, engine="fleet"
         )
-        batch = fitted.build_samples(
-            store, name, sim.duration_hours, engine="batch"
-        )
         reference = fitted.build_samples(
             store, name, sim.duration_hours, engine="per_sample"
         )
-        for other in (batch, reference):
-            assert np.array_equal(fleet.X, other.X)
-            assert np.array_equal(fleet.y, other.y)
-            assert np.array_equal(fleet.times, other.times)
-            assert list(fleet.dimm_ids) == list(other.dimm_ids)
+        assert np.array_equal(fleet.X, reference.X)
+        assert np.array_equal(fleet.y, reference.y)
+        assert np.array_equal(fleet.times, reference.times)
+        assert list(fleet.dimm_ids) == list(reference.dimm_ids)
         assert len(fleet) > 0
 
     def test_sharded_build_is_bit_identical(self, platform_sim, fitted):
@@ -131,10 +121,39 @@ class TestBuildSamplesParity:
             assert np.array_equal(serial.times, sharded.times)
             assert list(serial.dimm_ids) == list(sharded.dimm_ids)
 
-    def test_unknown_engine_rejected(self, platform_sim, fitted):
+    @pytest.mark.parametrize("engine", ["warp", "batch"])
+    def test_unknown_engine_rejected(self, platform_sim, fitted, engine):
         name, sim = platform_sim
         with pytest.raises(ValueError, match="unknown engine"):
-            fitted.build_samples(sim.store, name, engine="warp")
+            fitted.build_samples(sim.store, name, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_last_heartbeat_reports_the_whole_build(
+        self, platform_sim, fitted, engine
+    ):
+        name, sim = platform_sim
+        obs = _HeartbeatLog()
+        samples = fitted.build_samples(
+            sim.store, name, sim.duration_hours, engine=engine,
+            obs=obs, heartbeat_every=1,
+        )
+        sources = {source for source, _ in obs.beats}
+        assert sources == {"build_samples"}
+        last = obs.beats[-1][1]
+        assert last["fraction"] == 1.0
+        assert last["samples"] == len(samples) > 0
+
+
+class _HeartbeatLog:
+    """Records ``build_samples`` heartbeats in publication order."""
+
+    tracer = NULL_TRACER
+
+    def __init__(self):
+        self.beats = []
+
+    def heartbeat(self, source, fields, worker=""):
+        self.beats.append((source, dict(fields)))
 
 
 def test_empty_store_builds_empty_sample_set(purley_sim):

@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.risky_ce import heuristic_risk_score
 
 from repro.features.pipeline import FeaturePipeline
-from repro.features.windows import REPAIR_KINDS, AppendableDimmHistory
+from repro.features.windows import REPAIR_KINDS, DimmHistory
 from repro.mlops.feature_store import FeatureStore
 from repro.mlops.model_registry import ModelRegistry
 from repro.mlops.serving import AlarmSystem, OnlinePredictionService
@@ -44,30 +44,33 @@ def test_parity_at_every_event(fitted):
     store = simulation.store
     extractor = IncrementalFeatureExtractor(pipeline)
     states: dict[str, object] = {}
-    histories: dict[str, AppendableDimmHistory] = {}
+    arrived: dict[str, tuple[list, list]] = {}
     checked = 0
     for record in iter_stream(store):
         dimm_id = record.dimm_id
         if isinstance(record, UERecord):
             states.pop(dimm_id, None)
-            histories.pop(dimm_id, None)
+            arrived.pop(dimm_id, None)
             continue
         state = states.get(dimm_id)
         if state is None:
             state = extractor.state_for(dimm_id)
             states[dimm_id] = state
-            histories[dimm_id] = AppendableDimmHistory(dimm_id)
+            arrived[dimm_id] = ([], [])
+        ces, events = arrived[dimm_id]
         if isinstance(record, MemEventRecord):
             state.add_event_record(record)
-            histories[dimm_id].append_event(record)
+            events.append(record)
             continue
         assert isinstance(record, CERecord)
         state.add_ce_record(record)
-        histories[dimm_id].append_ce(record)
+        ces.append(record)
         config = store.config_for(dimm_id)
         streamed = extractor.serve(state, config, record.timestamp_hours)
         reference = pipeline.transform_one(
-            histories[dimm_id], config, record.timestamp_hours
+            DimmHistory.from_records(dimm_id, ces, events),
+            config,
+            record.timestamp_hours,
         )
         assert np.array_equal(streamed, reference), (
             dimm_id, record.timestamp_hours,
@@ -86,10 +89,9 @@ def test_parity_at_late_and_between_ce_instants(fitted):
     config = store.config_for(dimm_id)
     ces = store.ces_for_dimm(dimm_id)
     state = extractor.state_for(dimm_id)
-    history = AppendableDimmHistory(dimm_id)
     for ce in ces:
         state.add_ce_record(ce)
-        history.append_ce(ce)
+    history = DimmHistory.from_records(dimm_id, ces, [])
     last = ces[-1].timestamp_hours
     for offset in (0.01, 1.0, 23.0, 119.0, 121.0, 500.0):
         t = last + offset
@@ -118,9 +120,7 @@ def test_out_of_order_and_regressing_queries_fall_back_exactly(fitted):
     shuffled[mid], shuffled[mid - 1] = shuffled[mid - 1], shuffled[mid]
     for ce in shuffled:
         state.add_ce_record(ce)
-    history = AppendableDimmHistory(dimm_id)
-    for ce in shuffled:
-        history.append_ce(ce)
+    history = DimmHistory.from_records(dimm_id, shuffled, [])
     t = ces[-1].timestamp_hours
     assert np.array_equal(
         extractor.serve(state, config, t),
@@ -143,10 +143,10 @@ def test_empty_history_query_matches(fitted):
     dimm_id = store.dimm_ids_with_ces()[0]
     config = store.config_for(dimm_id)
     state = extractor.state_for(dimm_id)
-    history = AppendableDimmHistory(dimm_id)
-    for event in store.events_for_dimm(dimm_id):
+    events = store.events_for_dimm(dimm_id)
+    for event in events:
         state.add_event_record(event)
-        history.append_event(event)
+    history = DimmHistory.from_records(dimm_id, [], events)
     t = simulation.duration_hours / 2.0
     assert np.array_equal(
         extractor.serve(state, config, t),
@@ -200,8 +200,8 @@ def test_incremental_service_scores_and_alarms_identical(tiny_study):
     pins each ``PreparedRequest.features`` bit for bit to the reference,
     over out-of-order CEs, storms, repairs and a UE followed by a
     replacement DIMM reusing the id.  The heuristic fallback reads the same
-    state, so it must equal ``heuristic_risk_score`` over an
-    ``AppendableDimmHistory`` of the same records.
+    state, so it must equal ``heuristic_risk_score`` over a
+    ``DimmHistory`` of the same records.
     """
     store = tiny_study["intel_purley"].store
     pipeline = FeaturePipeline()
@@ -223,7 +223,7 @@ def test_incremental_service_scores_and_alarms_identical(tiny_study):
         service.register_config(dimm_id, config)
 
     records, replaced = _service_stream(store)
-    histories: dict[str, AppendableDimmHistory] = {}
+    arrived: dict[str, tuple[list, list]] = {}
     head: dict[str, float] = {}
     alarms, late, after_ue = [], 0, 0
     kinds = {type(record) for record in records}
@@ -234,24 +234,24 @@ def test_incremental_service_scores_and_alarms_identical(tiny_study):
     for record in records:
         dimm_id = record.dimm_id
         if isinstance(record, UERecord):
-            histories.pop(dimm_id, None)
+            arrived.pop(dimm_id, None)
             head.pop(dimm_id, None)
             service.observe(record)
             continue
-        history = histories.setdefault(
-            dimm_id, AppendableDimmHistory(dimm_id)
-        )
+        ces, events = arrived.setdefault(dimm_id, ([], []))
         if isinstance(record, MemEventRecord):
-            history.append_event(record)
+            events.append(record)
             service.observe(record)
             continue
-        history.append_ce(record)
+        ces.append(record)
         t = record.timestamp_hours
         prepared = service.ingest(record)
         if prepared is not None:
             assert prepared.features is not None
             reference = pipeline.transform_one(
-                history, store.config_for(dimm_id), t
+                DimmHistory.from_records(dimm_id, ces, events),
+                store.config_for(dimm_id),
+                t,
             )
             assert np.array_equal(prepared.features, reference), (dimm_id, t)
             late += t < head.get(dimm_id, t)
@@ -268,5 +268,7 @@ def test_incremental_service_scores_and_alarms_identical(tiny_study):
 
     for dimm_id, state in service._states.items():
         assert service._degraded_score(state, float("inf")) == (
-            heuristic_risk_score(histories[dimm_id].view())
+            heuristic_risk_score(
+                DimmHistory.from_records(dimm_id, *arrived[dimm_id])
+            )
         )

@@ -8,8 +8,12 @@ from repro.experiments.runner import RunContext, run_spec
 from repro.experiments.spec import RunSpec
 from repro.features.labeling import LabelingParams
 from repro.features.pipeline import FeaturePipeline
+from repro.mlops.feature_store import FeatureStore
+from repro.mlops.model_registry import ModelRegistry
+from repro.mlops.serving import AlarmSystem, OnlinePredictionService
 from repro.streaming.bus import EventBus
 from repro.streaming.replay import ReplayEngine
+from repro.telemetry.log_store import iter_stream
 from repro.telemetry.records import CERecord, MemEventRecord, UERecord
 
 
@@ -41,7 +45,48 @@ def _engine(simulation, pipeline, **kwargs):
     )
 
 
+class _ZeroModel:
+    """Never alarms, so no incident blocks scoring on either path."""
+
+    def predict_proba(self, X):
+        return np.zeros(np.asarray(X).shape[0])
+
+
+def _observe_scored(simulation, pipeline) -> int:
+    """CEs the serial ``observe()`` loop scores with no rescore throttle."""
+    registry = ModelRegistry()
+    version = registry.register(
+        "intel_purley", "zero", _ZeroModel(), threshold=0.985,
+        metrics={"f1": 0.9},
+    )
+    registry.promote_to_staging(version)
+    registry.promote_to_production(version)
+    service = OnlinePredictionService(
+        FeatureStore(pipeline), registry, AlarmSystem(), "intel_purley",
+        rescore_interval_hours=0.0,
+    )
+    for dimm_id, config in simulation.store.configs.items():
+        service.register_config(dimm_id, config)
+    for record in iter_stream(simulation.store):
+        assert service.observe(record) is None
+    return service.scored
+
+
 class TestReplayEngine:
+    @pytest.mark.parametrize("replay_engine", ["batched", "per_event"])
+    def test_unthrottled_replay_scores_what_observe_scores(
+        self, purley, replay_engine
+    ):
+        simulation, pipeline = purley
+        store = simulation.store
+        report = ReplayEngine(
+            pipeline, _ZeroModel(), 0.985, "intel_purley",
+            configs=store.configs, rescore_interval_hours=0.0,
+            batch_size=64, engine=replay_engine,
+        ).replay(store)
+        assert report.events == len(list(iter_stream(store)))
+        assert report.scored == _observe_scored(simulation, pipeline) > 0
+
     def test_replay_counts_every_record_and_is_parity_clean(self, purley):
         simulation, pipeline = purley
         store = simulation.store
