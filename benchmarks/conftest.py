@@ -8,7 +8,6 @@ platform.  Rendered artifacts are written to ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import pytest
@@ -23,50 +22,9 @@ RESULTS_DIR.mkdir(exist_ok=True)
 SEED = 7
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-scale",
-        type=float,
-        default=1.0,
-        help="fleet simulation scale for the --fleet-ops/--distributed/"
-        "--observability benchmarks (1.0 = paper shape; CI uses a smaller "
-        "smoke scale)",
-    )
-    parser.addoption(
-        "--fleet-ops",
-        action="store_true",
-        default=False,
-        help="run the fleet-operations benchmark (writes fleet_ops*.json)",
-    )
-    parser.addoption(
-        "--distributed",
-        action="store_true",
-        default=False,
-        help="run the distributed-tier benchmark (writes "
-        "distributed*.json)",
-    )
-    parser.addoption(
-        "--observability",
-        action="store_true",
-        default=False,
-        help="run the observability-overhead benchmark (writes "
-        "observability*.json)",
-    )
-
-
 def write_result(name: str, content: str) -> None:
     (RESULTS_DIR / name).write_text(content + "\n", encoding="utf-8")
     print("\n" + content)
-
-
-def best_of(n_rounds: int, fn):
-    """Best-of-N wall-clock timing (the min damps scheduler noise)."""
-    best, result = float("inf"), None
-    for _ in range(n_rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 @pytest.fixture(scope="session")

@@ -29,8 +29,9 @@ Two interchangeable engines drive the same decision loop:
 * ``engine="per_event"`` — the pure-Python reference: the pre-decoded
   merged stream drives per-DIMM incremental state, with per-platform
   state hoisted into parallel lists indexed by the stream's platform
-  code.  ``benchmarks/bench_fleet_ops.py`` measures the speedup and
-  gates batched-vs-per-event score parity.
+  code.  ``tests/fleetops/test_fleet_engine.py`` pins batched against
+  per-event scores, alarms, costs and actions; perfbench's
+  ``fleet_replay`` workload times the batched engine.
 """
 
 from __future__ import annotations

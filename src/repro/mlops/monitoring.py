@@ -25,7 +25,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -166,6 +165,9 @@ class DriftMonitor:
         """Drift reports for every feature (empty until enough samples)."""
         if len(self._buffer) < self.min_samples:
             return []
+        # scipy.stats costs ~1 s to import; only a drift check pays it.
+        from scipy import stats
+
         observed = np.vstack(self._buffer)
         reports = []
         for index, name in enumerate(self.feature_names):

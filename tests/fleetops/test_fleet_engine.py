@@ -90,8 +90,10 @@ class TestMergedParity:
     def merged(self, tiny_study, fitted_fleet):
         return _fleet_replay(tiny_study, fitted_fleet)
 
-    @pytest.fixture(scope="class")
-    def singles(self, tiny_study, fitted_fleet):
+    @pytest.fixture(scope="class", params=["batched", "per_event"])
+    def singles(self, request, tiny_study, fitted_fleet):
+        """Single-platform runs on either engine; ``per_event`` is the
+        sequential pre-fleet baseline."""
         reports = {}
         engines = {}
         for name, simulation in tiny_study.items():
@@ -105,6 +107,7 @@ class TestMergedParity:
                 live_from_hour=0.6 * simulation.duration_hours,
                 rescore_interval_hours=0.0,
                 batch_size=64,
+                engine=request.param,
                 collect_scores=True,
             )
             reports[name] = engine.replay(simulation.store)

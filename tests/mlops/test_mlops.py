@@ -1,8 +1,14 @@
 """Tests for the MLOps framework components."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.mlops.data_pipeline import DataLake, DataPipeline, default_ingestion_pipeline
 from repro.mlops.feature_store import FeatureDefinition, FeatureRegistry, FeatureStore
 from repro.mlops.model_registry import (
@@ -185,6 +191,28 @@ class TestMonitoring:
         for _ in range(100):
             monitor.observe(rng.normal(0, 1, size=2))
         assert not monitor.needs_retraining()
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # Every CLI call and spawn-started worker imports repro.cli;
+        # scipy.stats (~1 s, ~60 MiB) loads only when a drift check runs.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        probe = (
+            "import sys, repro.cli, repro.mlops; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestAlarmSystem:

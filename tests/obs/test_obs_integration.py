@@ -6,7 +6,17 @@ import pytest
 from repro.chaos.quarantine import quarantine_columns
 from repro.distributed.service import ServiceStats
 from repro.features.labeling import LabelingParams
-from repro.obs import Observability, parse_prometheus, to_prometheus
+from repro.features.pipeline import FeaturePipeline
+from repro.fleetops.engine import FleetReplayEngine, ServingAssignment
+from repro.fleetops.policy import PolicyEngine
+from repro.fleetops.stream import merge_fleet_streams
+from repro.obs import (
+    Observability,
+    parse_prometheus,
+    payload_from_jsonl,
+    payload_to_jsonl,
+    to_prometheus,
+)
 from repro.streaming.bus import EventBus
 from repro.streaming.replay import ReplayEngine
 from repro.telemetry.log_store import LogStore
@@ -19,13 +29,18 @@ class _EchoModel:
 
 
 @pytest.fixture(scope="module")
-def purley(tiny_study):
-    from repro.features.pipeline import FeaturePipeline
+def fleet_pipelines(tiny_study):
+    pipelines = {}
+    for name, simulation in tiny_study.items():
+        pipeline = FeaturePipeline()
+        pipeline.fit(simulation.store)
+        pipelines[name] = pipeline
+    return pipelines
 
-    simulation = tiny_study["intel_purley"]
-    pipeline = FeaturePipeline()
-    pipeline.fit(simulation.store)
-    return simulation, pipeline
+
+@pytest.fixture(scope="module")
+def purley(tiny_study, fleet_pipelines):
+    return tiny_study["intel_purley"], fleet_pipelines["intel_purley"]
 
 
 def _replay(simulation, pipeline, obs=None):
@@ -127,6 +142,75 @@ class TestReplayParity:
         parsed = parse_prometheus(to_prometheus(obs))
         assert parsed["types"]["repro_replay_events_total"] == "counter"
         assert parsed["types"]["repro_alarm_quality"] == "gauge"
+
+
+def _fleet_replay(tiny_study, pipelines, engine, obs=None, heartbeat_every=0):
+    stores = {name: sim.store for name, sim in tiny_study.items()}
+    assignments = {
+        name: ServingAssignment(
+            platform=name,
+            model_name="echo",
+            train_platform=name,
+            model=_EchoModel(),
+            threshold=0.985,
+            pipeline=pipelines[name],
+            configs=simulation.store.configs,
+            live_from_hour=0.6 * simulation.duration_hours,
+        )
+        for name, simulation in tiny_study.items()
+    }
+    fleet = FleetReplayEngine(
+        assignments,
+        labeling=LabelingParams(),
+        policy=PolicyEngine(seed=7),
+        rescore_interval_hours=0.0,
+        batch_size=64,
+        engine=engine,
+        collect_scores=True,
+        obs=obs,
+        heartbeat_every=heartbeat_every,
+    )
+    stream = merge_fleet_streams(
+        stores, decode_payloads=(engine == "per_event")
+    )
+    return fleet, fleet.replay(stream, stores)
+
+
+class TestFleetReplayParity:
+    @pytest.mark.parametrize("engine", ["batched", "per_event"])
+    def test_instrumented_fleet_run_is_bit_identical(
+        self, tiny_study, fleet_pipelines, engine
+    ):
+        """Three platforms, policy and cost: obs and heartbeats on vs
+        off leave every score, alarm, bus count, cost and action alone,
+        and the run's dump round-trips its spans and samples."""
+        plain_engine, plain = _fleet_replay(
+            tiny_study, fleet_pipelines, engine
+        )
+        obs = Observability()
+        obs_engine, instrumented = _fleet_replay(
+            tiny_study, fleet_pipelines, engine, obs=obs, heartbeat_every=200
+        )
+        for name in tiny_study:
+            assert plain_engine.score_logs[name]
+            assert plain_engine.score_logs[name] == obs_engine.score_logs[name]
+            assert (
+                plain.platforms[name]["alarms"]
+                == instrumented.platforms[name]["alarms"]
+            )
+        assert plain.bus_counts == instrumented.bus_counts
+        assert plain.costs == instrumented.costs
+        assert plain.fleet_cost == instrumented.fleet_cost
+        assert plain.actions == instrumented.actions
+
+        payload = obs.payload()
+        assert payload["metrics"]["repro_heartbeats_total"]["samples"]
+        rebuilt = payload_from_jsonl(payload_to_jsonl(obs))
+        assert rebuilt["spans"] == payload["spans"]
+        for name, family in payload["metrics"].items():
+            assert rebuilt["metrics"][name]["type"] == family["type"]
+            assert rebuilt["metrics"][name]["samples"] == family["samples"]
+        assert "fleet_replay" in [span["name"] for span in payload["spans"]]
 
 
 class TestServiceStats:
