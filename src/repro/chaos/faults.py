@@ -230,9 +230,7 @@ class TelemetryFaultInjector:
         # Stable re-sort by (possibly delayed) timestamp: ties keep the
         # emission order, i.e. iter_stream's CE < UE < event convention.
         out_records.sort(key=lambda record: record.timestamp_hours)
-        faulted = LogStore()
-        for config in store.configs.values():
-            faulted.add_config(config)
+        faulted = LogStore(configs=store.configs)
         faulted.ingest_bulk(out_records)
         report.output_records = len(faulted)
         return faulted, report

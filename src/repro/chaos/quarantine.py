@@ -218,6 +218,7 @@ def quarantine_columns(
     filtered = TelemetryColumns()
     filtered.dimms = columns.dimms
     filtered.servers = columns.servers
+    filtered.details = columns.details
     filtered.ces.extend(ce_rows[ce_codes == 0])
     filtered.ues.extend(ue_rows[ue_codes == 0])
     filtered.events.extend(ev_rows[ev_codes == 0])

@@ -91,13 +91,13 @@ from repro.fleetops.engine import (
     FleetReplayEngine,
     FleetReport,
     ServingAssignment,
-    _ColumnsStore,
 )
 from repro.fleetops.stream import merge_fleet_streams
 from repro.obs.bridge import Observability
 from repro.obs.tracing import NULL_TRACER
 from repro.streaming.alarms import AlarmManager
 from repro.streaming.bus import ALL_TOPICS, EventBus
+from repro.telemetry.log_store import LogStore
 
 
 @dataclass
@@ -142,7 +142,7 @@ def _replay_partition(payload: dict) -> PartitionOutcome:
         payload["shard_dir"], manifest, index, mmap=payload["mmap"]
     )
     stores = {
-        platform: _ColumnsStore(columns)
+        platform: LogStore(columns)
         for platform, columns in columns_by.items()
         if len(columns.ces) + len(columns.ues) + len(columns.events)
     }

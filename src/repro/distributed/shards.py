@@ -31,21 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.telemetry.columnar import (
-    CE_DIMM,
-    EV_DIMM,
-    UE_DIMM,
-    TelemetryColumns,
-)
+from repro.telemetry.columnar import DIMM_COLUMNS, TelemetryColumns
 from repro.telemetry.npz_io import load_npz_arrays
 
 #: Bump when the on-disk shard layout changes; stale sets rebuild.
-SHARD_FORMAT_VERSION = 1
+SHARD_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
-
-#: (table attribute, dimm-code column) for each record kind.
-_KIND_COLUMNS = (("ces", CE_DIMM), ("ues", UE_DIMM), ("events", EV_DIMM))
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def _dimm_event_counts(columns: TelemetryColumns) -> np.ndarray:
     counts = np.zeros(n, dtype=np.int64)
     if n == 0:
         return counts
-    for attr, dimm_col in _KIND_COLUMNS:
+    for attr, dimm_col in DIMM_COLUMNS.items():
         rows = getattr(columns, attr).rows()
         if rows.size:
             codes = rows[:, dimm_col].astype(np.int64)
@@ -162,7 +154,7 @@ def shard_columns(
         keep[code] = True
         remap[code] = position
     tables = {}
-    for attr, dimm_col in _KIND_COLUMNS:
+    for attr, dimm_col in DIMM_COLUMNS.items():
         rows = getattr(columns, attr).rows()
         if rows.size and n:
             codes = rows[:, dimm_col].astype(np.int64)
@@ -180,6 +172,7 @@ def shard_columns(
         tables["events"],
         list(keep_names),
         columns.servers.names(),
+        columns.details.names(),
     )
 
 
@@ -194,10 +187,11 @@ def shard_fingerprint(columns_by: dict[str, TelemetryColumns]) -> str:
     for platform in sorted(columns_by):
         columns = columns_by[platform]
         hasher.update(platform.encode())
-        for attr, _ in _KIND_COLUMNS:
+        for attr in DIMM_COLUMNS:
             _table_digest(hasher, getattr(columns, attr).rows())
         hasher.update("\x00".join(columns.dimms.names()).encode())
         hasher.update("\x00".join(columns.servers.names()).encode())
+        hasher.update("\x00".join(columns.details.names()).encode())
     return hasher.hexdigest()[:16]
 
 
@@ -295,6 +289,7 @@ def load_shard(
             arrays[f"{platform}::events"],
             arrays[f"{platform}::dimm_names"],
             arrays[f"{platform}::server_names"],
+            arrays[f"{platform}::detail_names"],
         )
     if verify:
         fingerprint = shard_fingerprint(columns_by)

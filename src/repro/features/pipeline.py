@@ -64,7 +64,7 @@ ENGINES = ("fleet", "per_sample")
 def server_ce_times(store: LogStore) -> dict[str, np.ndarray]:
     """Per-server CE timestamp arrays, read off the columnar CE table.
 
-    Groups the struct-of-arrays mirror by interned server code (one stable
+    Groups the columnar CE table by interned server code (one stable
     argsort, zero record-object loops).  The value *sets* equal what the
     old ``store.ces`` record walk produced; value order may differ, which
     is immaterial because the environment extractor sorts each server's

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.telemetry.columnar import FleetArrays, segmented_searchsorted
+from repro.telemetry.columnar import (
+    CE_DEVICE0,
+    FleetArrays,
+    ce_value_arrays,
+    ce_values,
+    segmented_searchsorted,
+)
 from repro.telemetry.records import CERecord, MemEventKind, MemEventRecord
 
 #: Observation sub-windows (hours) used by the temporal extractor; the
@@ -73,41 +79,14 @@ class DimmHistory:
         repair_times = sorted(
             e.timestamp_hours for e in events if e.kind in REPAIR_KINDS
         )
-        # One pass over the records; a single (n, 11) array split into
-        # columns is much cheaper than eleven per-field comprehensions.
+        # One pass over the records: their CE-table value columns.
         table = np.array(
-            [
-                (
-                    ce.timestamp_hours,
-                    ce.dq_count,
-                    ce.beat_count,
-                    ce.dq_interval,
-                    ce.beat_interval,
-                    len(ce.devices),
-                    ce.error_bit_count,
-                    ce.row,
-                    ce.column,
-                    ce.bank,
-                    ce.devices[0] if ce.devices else 0,
-                )
-                for ce in ces
-            ],
-            dtype=float,
-        ).reshape(len(ces), 11)
+            [ce_values(ce) for ce in ces], dtype=float
+        ).reshape(len(ces), CE_DEVICE0 + 1)
         return cls(
             dimm_id=dimm_id,
             server_id=server_id,
-            times=table[:, 0].copy(),
-            dq_count=table[:, 1].copy(),
-            beat_count=table[:, 2].copy(),
-            dq_interval=table[:, 3].copy(),
-            beat_interval=table[:, 4].copy(),
-            n_devices=table[:, 5].copy(),
-            error_bits=table[:, 6].copy(),
-            rows=table[:, 7].astype(np.int64),
-            columns=table[:, 8].astype(np.int64),
-            banks=table[:, 9].astype(np.int64),
-            devices=table[:, 10].astype(np.int64),
+            **ce_value_arrays(table),
             storm_times=np.asarray(storm_times, dtype=float),
             repair_times=np.asarray(repair_times, dtype=float),
         )

@@ -60,24 +60,11 @@ from repro.streaming.bus import EventBus
 from repro.streaming.incremental import IncrementalFeatureExtractor
 from repro.streaming.kernels import ReplayKernel
 from repro.streaming.replay import REPLAY_ENGINES
+from repro.telemetry.log_store import LogStore
 
 #: Candidate rows per ``features_for`` / ``predict_proba`` call when a
 #: coherent-flush replay scores every candidate up front.
 SCORE_BLOCK = 4096
-
-
-class _ColumnsStore:
-    """Just enough of a LogStore for re-merging: a ``.columns`` attribute.
-
-    Quarantine produces filtered :class:`TelemetryColumns`; both the merge
-    and the engines only ever touch ``store.columns``, so this shim carries
-    the filtered tables without copying records back into a LogStore.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns) -> None:
-        self.columns = columns
 
 
 @dataclass(frozen=True)
@@ -370,13 +357,13 @@ class FleetReplayEngine:
             **self.obs_labels,
         ) as root:
             rejects: dict[str, object] = {}
-            filtered: dict[str, _ColumnsStore] = {}
+            filtered: dict[str, LogStore] = {}
             with tracer.span("fleet_replay.quarantine"):
                 for platform in stream.platforms:
                     columns, platform_rejects = quarantine_columns(
                         stores[platform].columns, bus=self.bus
                     )
-                    filtered[platform] = _ColumnsStore(columns)
+                    filtered[platform] = LogStore(columns)
                     rejects[platform] = platform_rejects
                 if any(r.total for r in rejects.values()):
                     # Rebuild the merged order over the surviving records

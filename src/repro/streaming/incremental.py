@@ -44,7 +44,12 @@ from collections import deque
 import numpy as np
 
 from repro.features.windows import EPS, SUB_WINDOWS_HOURS, DimmHistory, REPAIR_KINDS
-from repro.telemetry.columnar import REPAIR_CODES, STORM_CODE, ce_values
+from repro.telemetry.columnar import (
+    REPAIR_CODES,
+    STORM_CODE,
+    ce_value_arrays,
+    ce_values,
+)
 from repro.telemetry.records import CERecord, MemEventKind, MemEventRecord
 
 #: 2^20 per hierarchy level — the same packing ``spatial._compose`` uses, so
@@ -249,17 +254,7 @@ class IncrementalWindowState:
         return DimmHistory(
             dimm_id=self.dimm_id,
             server_id=self.server_id,
-            times=table[:, 0].copy(),
-            dq_count=table[:, 1].copy(),
-            beat_count=table[:, 2].copy(),
-            dq_interval=table[:, 3].copy(),
-            beat_interval=table[:, 4].copy(),
-            n_devices=table[:, 5].copy(),
-            error_bits=table[:, 6].copy(),
-            rows=table[:, 7].astype(np.int64),
-            columns=table[:, 8].astype(np.int64),
-            banks=table[:, 9].astype(np.int64),
-            devices=table[:, 10].astype(np.int64),
+            **ce_value_arrays(table),
             storm_times=np.asarray(sorted(self.storm_times), dtype=float),
             repair_times=np.asarray(sorted(self.repair_times), dtype=float),
         )

@@ -78,6 +78,7 @@ from repro.telemetry.columnar import (
     UE_DIMM,
     UE_T,
     FleetArrays,
+    ce_value_arrays,
     segmented_searchsorted,
 )
 
@@ -339,28 +340,10 @@ class ReplayKernel:
         ) if n_segs else np.empty(0, dtype=bool)
 
         # -- the stream-ordered fleet view ---------------------------------
-        perm = ce_rows[seg_order] if self.n_ce else ce_rows.reshape(0, 13)
-
-        def col(i, dtype=None):
-            column = perm[:, i]
-            if dtype is not None:
-                return column.astype(dtype)
-            return np.ascontiguousarray(column)
-
         self.fleet = FleetArrays(
             dimm_ids=self.seg_dimm_ids,
             server_ids=seg_server_ids,
-            times=col(0),
-            dq_count=col(1),
-            beat_count=col(2),
-            dq_interval=col(3),
-            beat_interval=col(4),
-            n_devices=col(5),
-            error_bits=col(6),
-            rows=col(7, np.int64),
-            columns=col(8, np.int64),
-            banks=col(9, np.int64),
-            devices=col(10, np.int64),
+            **ce_value_arrays(ce_rows[seg_order] if self.n_ce else ce_rows),
             ce_offsets=ce_offsets,
             storm_times=storm_times,
             storm_offsets=storm_offsets,

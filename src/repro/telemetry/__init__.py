@@ -3,6 +3,7 @@
 from repro.telemetry.bmc import BmcCollector, BmcStats
 from repro.telemetry.columnar import (
     FleetArrays,
+    RecordEncodingError,
     TelemetryColumns,
     segmented_searchsorted,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "DimmConfigRecord",
     "FleetArrays",
     "LogStore",
+    "RecordEncodingError",
     "TelemetryColumns",
     "McaSignal",
     "MemEventKind",

@@ -43,6 +43,8 @@ class BmcCollector:
         self.store = store
         self.storm_detector = CeStormDetector(storm_config)
         self.stats = BmcStats()
+        # DIMMs with a logged CE: a UE on any other DIMM is "sudden".
+        self._dimms_with_ces = set(store.dimm_ids_with_ces())
 
     def collect_raw(
         self,
@@ -103,6 +105,7 @@ class BmcCollector:
                 fault_id=fault_id,
             )
         )
+        self._dimms_with_ces.add(dimm_id)
         self.stats.ces_logged += 1
         return action
 
@@ -114,7 +117,6 @@ class BmcCollector:
         signal: McaSignal,
         fault_id: int,
     ) -> None:
-        had_ces = bool(self.store.ces_for_dimm(dimm_id))
         devices = signal.devices or (signal.device,)
         self.store.add_ue(
             UERecord(
@@ -126,7 +128,7 @@ class BmcCollector:
                 row=signal.row,
                 column=signal.column,
                 devices=devices,
-                sudden=not had_ces,
+                sudden=dimm_id not in self._dimms_with_ces,
                 fault_id=fault_id,
             )
         )

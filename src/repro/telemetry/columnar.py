@@ -1,27 +1,28 @@
-"""Columnar (struct-of-arrays) backing store for telemetry records.
+"""Columnar (struct-of-arrays) telemetry store: the one copy of every record.
 
-The fleet-level extraction engine wants every DIMM's history as numpy
-arrays without ever looping over python record objects.  This module keeps
-a columnar mirror of the :class:`~repro.telemetry.log_store.LogStore`
-contents: one growable float64 table per record kind (CE / UE / memory
-event), appended in amortized O(1) via doubling buffers, plus integer
-vocabularies for DIMM and server ids.
+:class:`TelemetryColumns` keeps one campaign's CEs, UEs and memory events
+as one growable float64 table per kind (amortized O(1) appends via
+doubling buffers), plus vocabularies interning DIMM ids, server ids and
+event details.  Every record field is a column, so record objects are
+rebuilt bit-for-bit from rows on request (:meth:`~TelemetryColumns.records`)
+while the fast paths (fleet extraction, replay kernels, quarantine,
+shards) read the tables directly.  The encoding is exact: integer fields
+must be integers below 2^53 in magnitude, a record's devices are one
+bitmask column (ascending, unique, below :data:`MAX_DEVICE`), and a
+record that breaks this raises :class:`RecordEncodingError` on ingest.
 
-All numeric record fields fit exactly in float64 (coordinates are < 2^20,
-counts are tiny), so a single homogeneous table per kind keeps appends to
-one numpy row-assignment and lets the fleet assembly below run as a
-handful of whole-table numpy calls:
-
-* :meth:`TelemetryColumns.fleet_view` lexsorts each kind once by
-  ``(dimm, time)`` and returns a :class:`FleetArrays` — ragged per-DIMM
-  concatenations with segment offsets, ordered by sorted DIMM id.  Every
-  per-DIMM history is then a zero-copy slice of these arrays, and the
-  cross-DIMM extraction pass consumes them whole.
+:meth:`TelemetryColumns.fleet_view` lexsorts each kind once by
+``(dimm, time)`` and returns a :class:`FleetArrays` — ragged per-DIMM
+concatenations with segment offsets, ordered by sorted DIMM id.  Every
+per-DIMM history is then a zero-copy slice of these arrays, and the
+cross-DIMM extraction pass consumes them whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from repro.telemetry.records import (
 CE_T, CE_DQ_COUNT, CE_BEAT_COUNT, CE_DQ_INTERVAL, CE_BEAT_INTERVAL = range(5)
 CE_N_DEVICES, CE_ERROR_BITS, CE_ROW, CE_COLUMN, CE_BANK = range(5, 10)
 CE_DEVICE0, CE_DIMM, CE_SERVER = range(10, 13)
-CE_WIDTH = 13
+CE_RANK, CE_DEVICE_MASK, CE_FAULT = range(13, 16)
+CE_WIDTH = 16
 
 
 def ce_values(ce: CERecord) -> tuple:
@@ -56,13 +58,35 @@ def ce_values(ce: CERecord) -> tuple:
     )
 
 
-#: Column layout of the UE table.
-UE_T, UE_DIMM = range(2)
-UE_WIDTH = 2
+#: The value columns ``CE_T .. CE_DEVICE0`` as named history arrays
+#: (:class:`FleetArrays`, ``DimmHistory``); coordinates become int64.
+CE_VALUE_FIELDS = (
+    "times", "dq_count", "beat_count", "dq_interval", "beat_interval",
+    "n_devices", "error_bits", "rows", "columns", "banks", "devices",
+)
 
-#: Column layout of the memory-event table.
-EV_T, EV_DIMM, EV_KIND = range(3)
-EV_WIDTH = 3
+
+def ce_value_arrays(table: np.ndarray) -> dict[str, np.ndarray]:
+    """A CE table's (or a ``ce_values`` block's) value columns by field."""
+    return {
+        name: table[:, column].astype(np.int64) if column >= CE_ROW
+        else np.ascontiguousarray(table[:, column])
+        for column, name in enumerate(CE_VALUE_FIELDS)
+    }
+
+
+#: Column layout of the UE table (the record's field order).
+UE_T, UE_SERVER, UE_DIMM, UE_RANK, UE_BANK, UE_ROW, UE_COLUMN = range(7)
+UE_DEVICE_MASK, UE_SUDDEN, UE_FAULT = range(7, 10)
+UE_WIDTH = 10
+
+#: Column layout of the memory-event table (the record's field order).
+EV_T, EV_SERVER, EV_DIMM, EV_KIND, EV_DETAIL = range(5)
+EV_WIDTH = 5
+
+#: The DIMM-code column of each :class:`TelemetryColumns` table, by table
+#: name (every table keeps the timestamp in column 0).
+DIMM_COLUMNS = {"ces": CE_DIMM, "ues": UE_DIMM, "events": EV_DIMM}
 
 #: Integer codes of the memory-event kinds as stored in the event table
 #: (public: the streaming replay engine decodes event rows with these).
@@ -77,6 +101,105 @@ REPAIR_CODES = frozenset(
         MemEventKind.PCLS_APPLIED,
     )
 )
+#: A kind arrives as the enum (records) or its value string (JSONL).
+_KIND_CODE_OF = {
+    **KIND_CODES,
+    **{kind.value: code for kind, code in KIND_CODES.items()},
+}
+
+#: float64 holds every integer of magnitude below this exactly.
+EXACT_INT = 1 << 53
+#: Devices are bits of one float64-exact mask, so indices stay below 53.
+MAX_DEVICE = 53
+
+_INT_TYPES = frozenset(
+    (int, np.int8, np.int16, np.int32, np.int64,
+     np.uint8, np.uint16, np.uint32, np.uint64)
+)
+_TIME_TYPES = _INT_TYPES | {float, np.float16, np.float32, np.float64}
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+class RecordEncodingError(ValueError):
+    """A record the columnar encoding cannot hold exactly."""
+
+
+def _check(ok: bool, values) -> None:
+    if not ok:
+        raise RecordEncodingError(f"record cannot be stored exactly: {values!r}")
+
+
+def _checked_devices(values, t, server, dimm, devices, ints: tuple) -> tuple:
+    """Type-check a CE/UE; return ``(count, first device, bitmask)``."""
+    _check(type(devices) in (list, tuple), values)
+    ints += tuple(devices)
+    _check(
+        type(t) in _TIME_TYPES
+        and type(server) is str
+        and type(dimm) is str
+        and set(map(type, ints)) <= _INT_TYPES
+        and -EXACT_INT < min(ints)
+        and max(ints) < EXACT_INT,
+        values,
+    )
+    return _device_code(tuple(devices))
+
+
+@functools.lru_cache(maxsize=4096)
+def _device_code(devices: tuple) -> tuple[int, int, int]:
+    """``(count, first device, bitmask)`` of an ascending device tuple."""
+    mask = 0
+    for device in devices:
+        # ``mask >> device`` is non-zero iff an earlier device is >= this
+        # one, i.e. the tuple is not strictly ascending.
+        _check(0 <= device < MAX_DEVICE and not mask >> device, devices)
+        mask |= 1 << device
+    return len(devices), (devices[0] if devices else 0), mask
+
+
+@functools.lru_cache(maxsize=4096)
+def _devices_of(mask: int) -> tuple[int, ...]:
+    return tuple(d for d in range(MAX_DEVICE) if mask >> d & 1)
+
+
+#: Per kind: the record class, its JSONL ``record_type``, the name of its
+#: row encoder, and each field's column in field order (records are
+#: rebuilt positionally from these columns).
+_RECORD_LAYOUT = {
+    "ces": (CERecord, "ce", "_ce_row", {
+        "timestamp_hours": CE_T, "server_id": CE_SERVER, "dimm_id": CE_DIMM,
+        "rank": CE_RANK, "bank": CE_BANK, "row": CE_ROW,
+        "column": CE_COLUMN, "devices": CE_DEVICE_MASK,
+        "dq_count": CE_DQ_COUNT, "beat_count": CE_BEAT_COUNT,
+        "dq_interval": CE_DQ_INTERVAL, "beat_interval": CE_BEAT_INTERVAL,
+        "error_bit_count": CE_ERROR_BITS, "fault_id": CE_FAULT,
+    }),
+    "ues": (UERecord, "ue", "_ue_row", {
+        f.name: column for column, f in enumerate(fields(UERecord))
+    }),
+    "events": (MemEventRecord, "event", "_event_row", {
+        f.name: column for column, f in enumerate(fields(MemEventRecord))
+    }),
+}
+
+
+def _payload_getter(cls):
+    """A JSONL payload's field values in ``cls``'s field order (a field
+    with a default may be missing)."""
+    required = itemgetter(*[f.name for f in fields(cls) if f.default is MISSING])
+    names, defaults = zip(*[
+        (f.name, f.default) for f in fields(cls) if f.default is not MISSING
+    ])
+    return lambda payload: required(payload) + tuple(
+        map(payload.get, names, defaults)
+    )
+
+
+#: Per kind: the getters of a record's and of a payload's field values.
+_GETTERS = {
+    kind: (attrgetter(*layout), _payload_getter(cls))
+    for kind, (cls, _, _, layout) in _RECORD_LAYOUT.items()
+}
 
 
 class ColumnarTable:
@@ -160,6 +283,10 @@ class Vocabulary:
 
     def name(self, code: int) -> str:
         return self._names[code]
+
+    def code(self, name: str) -> int | None:
+        """``name``'s code, or ``None`` when it was never interned."""
+        return self._codes.get(name)
 
     def names(self) -> list[str]:
         return list(self._names)
@@ -276,7 +403,7 @@ def _segmented(
 
 
 class TelemetryColumns:
-    """Columnar mirror of one campaign's telemetry (the fleet store)."""
+    """One campaign's telemetry records (the fleet store)."""
 
     def __init__(self) -> None:
         self.ces = ColumnarTable(CE_WIDTH)
@@ -284,74 +411,155 @@ class TelemetryColumns:
         self.events = ColumnarTable(EV_WIDTH)
         self.dimms = Vocabulary()
         self.servers = Vocabulary()
+        self.details = Vocabulary()
         self.version = 0
         self._fleet: FleetArrays | None = None
         self._fleet_version = -1
+        self._dimm_indexes: dict[str, tuple] = {}
 
     # -- ingestion ---------------------------------------------------------
 
-    def _ce_row(self, ce: CERecord) -> tuple:
-        return ce_values(ce) + (
-            self.dimms.intern(ce.dimm_id),
-            self.servers.intern(ce.server_id),
+    # Every check runs before any id is interned, so a rejected record
+    # leaves no stray vocabulary entry behind.
+
+    def _ce_row(self, values: tuple) -> tuple:
+        (t, server, dimm, rank, bank, row, column, devices, dq_count,
+         beat_count, dq_interval, beat_interval, error_bits, fault) = values
+        n_devices, device0, mask = _checked_devices(
+            values, t, server, dimm, devices,
+            (rank, bank, row, column, dq_count, beat_count, dq_interval,
+             beat_interval, error_bits, fault),
+        )
+        return (
+            float(t), dq_count, beat_count, dq_interval, beat_interval,
+            n_devices, error_bits, row, column, bank, device0,
+            self.dimms.intern(dimm), self.servers.intern(server), rank, mask,
+            fault,
         )
 
-    def append_ce(self, ce: CERecord) -> None:
-        self.ces.append(self._ce_row(ce))
-        self.version += 1
-
-    def append_ue(self, ue: UERecord) -> None:
-        self.ues.append((ue.timestamp_hours, self.dimms.intern(ue.dimm_id)))
-        self.version += 1
-
-    def append_event(self, event: MemEventRecord) -> None:
-        self.events.append(
-            (
-                event.timestamp_hours,
-                self.dimms.intern(event.dimm_id),
-                KIND_CODES[event.kind],
-            )
+    def _ue_row(self, values: tuple) -> tuple:
+        (t, server, dimm, rank, bank, row, column, devices, sudden,
+         fault) = values
+        _check(type(sudden) in _BOOL_TYPES, values)
+        mask = _checked_devices(
+            values, t, server, dimm, devices, (rank, bank, row, column, fault)
+        )[2]
+        return (
+            float(t), self.servers.intern(server), self.dimms.intern(dimm),
+            rank, bank, row, column, mask, bool(sudden), fault,
         )
-        self.version += 1
 
-    def extend_ces(self, ces: list[CERecord]) -> None:
-        """Bulk ingestion: one table construction instead of per-row appends."""
-        if not ces:
-            return
-        self.ces.extend(np.array([self._ce_row(ce) for ce in ces], dtype=float))
-        self.version += 1
-
-    def extend_ues(self, ues: list[UERecord]) -> None:
-        if not ues:
-            return
-        self.ues.extend(
-            np.array(
-                [
-                    (ue.timestamp_hours, self.dimms.intern(ue.dimm_id))
-                    for ue in ues
-                ],
-                dtype=float,
-            )
+    def _event_row(self, values: tuple) -> tuple:
+        t, server, dimm, kind, detail = values
+        _check(
+            type(t) in _TIME_TYPES
+            and type(server) is str
+            and type(dimm) is str
+            and type(detail) is str
+            and isinstance(kind, (str, MemEventKind))
+            and kind in _KIND_CODE_OF,
+            values,
         )
+        return (
+            float(t), self.servers.intern(server), self.dimms.intern(dimm),
+            _KIND_CODE_OF[kind], self.details.intern(detail),
+        )
+
+    def encode(self, record) -> tuple[str, tuple]:
+        """``(kind, row)`` of one record object; interns its strings."""
+        for kind, (cls, _, encoder, _) in _RECORD_LAYOUT.items():
+            if isinstance(record, cls):
+                return kind, getattr(self, encoder)(_GETTERS[kind][0](record))
+        raise TypeError(f"unknown record type {type(record)!r}")
+
+    def encode_payload(self, payload: dict) -> tuple[str, tuple]:
+        """``(kind, row)`` of one JSONL payload, typed like a record.
+
+        Raises ``KeyError`` for a missing field and
+        :class:`RecordEncodingError` for an unknown ``record_type`` or a
+        field of the wrong JSON type (``"dq_count": "3"``, ...).
+        """
+        record_type = payload["record_type"]
+        for kind, (_, name, encoder, _) in _RECORD_LAYOUT.items():
+            if record_type == name:
+                return kind, getattr(self, encoder)(_GETTERS[kind][1](payload))
+        raise RecordEncodingError(f"unknown record_type {record_type!r}")
+
+    def append(self, record) -> None:
+        """Append one record object (CE, UE or memory event)."""
+        kind, row = self.encode(record)
+        getattr(self, kind).append(row)
         self.version += 1
 
-    def extend_events(self, events: list[MemEventRecord]) -> None:
-        if not events:
-            return
-        self.events.extend(
-            np.array(
-                [
-                    (
-                        event.timestamp_hours,
-                        self.dimms.intern(event.dimm_id),
-                        KIND_CODES[event.kind],
-                    )
-                    for event in events
-                ],
-                dtype=float,
-            )
-        )
-        self.version += 1
+    def extend_rows(self, rows_by_kind: dict[str, list]) -> None:
+        """Bulk-append encoded rows: one table copy per kind."""
+        for kind, rows in rows_by_kind.items():
+            if rows:
+                getattr(self, kind).extend(np.array(rows, dtype=float))
+                self.version += 1
+
+    # -- record views ------------------------------------------------------
+
+    def _dimm_index(self, kind: str) -> tuple:
+        """``(order, codes, times)`` of the stable ``(dimm, time)`` sort of
+        ``kind``'s rows, cached until the next append."""
+        cached = self._dimm_indexes.get(kind)
+        if cached is None or cached[0] != self.version:
+            rows = getattr(self, kind).rows()
+            codes, times = rows[:, DIMM_COLUMNS[kind]], rows[:, 0]
+            order = np.lexsort((times, codes))
+            cached = (self.version, order, codes[order], times[order])
+            self._dimm_indexes[kind] = cached
+        return cached[1:]
+
+    def dimm_rows(
+        self,
+        kind: str,
+        dimm_id: str,
+        start_hour: float | None = None,
+        end_hour: float | None = None,
+    ) -> np.ndarray:
+        """Row indices of one DIMM's ``kind`` records in ``[start, end)``.
+
+        Time-ordered, ties in append order.  One cached stable
+        ``(dimm, time)`` lexsort serves every DIMM until the next append.
+        """
+        code = self.dimms.code(dimm_id)
+        if code is None or not len(getattr(self, kind)):
+            return np.empty(0, dtype=np.int64)
+        order, codes, times = self._dimm_index(kind)
+        lo = int(np.searchsorted(codes, code, side="left"))
+        hi = int(np.searchsorted(codes, code, side="right"))
+        segment = times[lo:hi]
+        if end_hour is not None:
+            hi = lo + int(np.searchsorted(segment, end_hour, side="left"))
+        if start_hour is not None:
+            lo += int(np.searchsorted(segment, start_hour, side="left"))
+        return order[lo:hi]
+
+    def records(self, kind: str, index: np.ndarray | None = None) -> list:
+        """Record objects of ``kind`` rows ``index`` (all rows if None)."""
+        cls, _, _, layout = _RECORD_LAYOUT[kind]
+        rows = getattr(self, kind).rows()
+        if index is not None:
+            rows = rows[index]
+        decode = {
+            "server_id": self.servers.name,
+            "dimm_id": self.dimms.name,
+            "devices": _devices_of,
+            "sudden": bool,
+            "kind": list(MemEventKind).__getitem__,
+            "detail": self.details.name,
+        }
+        values = []
+        for name, column in layout.items():
+            if name == "timestamp_hours":
+                values.append(rows[:, column].tolist())
+                continue
+            ints = rows[:, column].astype(np.int64).tolist()
+            values.append(list(map(decode[name], ints)) if name in decode
+                          else ints)
+        return list(map(cls, *values))
 
     # -- fleet assembly ----------------------------------------------------
 
@@ -401,17 +609,7 @@ class TelemetryColumns:
         return FleetArrays(
             dimm_ids=dimm_ids,
             server_ids=server_ids,
-            times=np.ascontiguousarray(sorted_ces[:, CE_T]),
-            dq_count=np.ascontiguousarray(sorted_ces[:, CE_DQ_COUNT]),
-            beat_count=np.ascontiguousarray(sorted_ces[:, CE_BEAT_COUNT]),
-            dq_interval=np.ascontiguousarray(sorted_ces[:, CE_DQ_INTERVAL]),
-            beat_interval=np.ascontiguousarray(sorted_ces[:, CE_BEAT_INTERVAL]),
-            n_devices=np.ascontiguousarray(sorted_ces[:, CE_N_DEVICES]),
-            error_bits=np.ascontiguousarray(sorted_ces[:, CE_ERROR_BITS]),
-            rows=sorted_ces[:, CE_ROW].astype(np.int64),
-            columns=sorted_ces[:, CE_COLUMN].astype(np.int64),
-            banks=sorted_ces[:, CE_BANK].astype(np.int64),
-            devices=sorted_ces[:, CE_DEVICE0].astype(np.int64),
+            **ce_value_arrays(sorted_ces),
             ce_offsets=ce_offsets,
             storm_times=np.ascontiguousarray(storms[:, EV_T]),
             storm_offsets=storm_offsets,
@@ -423,13 +621,14 @@ class TelemetryColumns:
     # -- serialization -----------------------------------------------------
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """The full store as five dense arrays (the ``.npz`` payload)."""
+        """The full store as six dense arrays (the ``.npz`` payload)."""
         return {
             "ces": np.ascontiguousarray(self.ces.rows()),
             "ues": np.ascontiguousarray(self.ues.rows()),
             "events": np.ascontiguousarray(self.events.rows()),
             "dimm_names": np.asarray(self.dimms.names(), dtype=str),
             "server_names": np.asarray(self.servers.names(), dtype=str),
+            "detail_names": np.asarray(self.details.names(), dtype=str),
         }
 
     def to_npz(self, path) -> None:
@@ -445,14 +644,15 @@ class TelemetryColumns:
         events: np.ndarray,
         dimm_names,
         server_names,
+        detail_names,
     ) -> "TelemetryColumns":
         """Rebuild a store around existing (possibly mapped) tables.
 
         The tables are adopted without copying; vocabulary codes must
-        match positions in ``dimm_names``/``server_names`` (which
-        :meth:`to_arrays` guarantees).
+        match positions in the name lists (which :meth:`to_arrays`
+        guarantees).
         """
-        columns = cls.__new__(cls)
+        columns = cls()
         columns.ces = ColumnarTable.from_rows(
             np.asarray(ces).reshape(-1, CE_WIDTH)
         )
@@ -462,17 +662,21 @@ class TelemetryColumns:
         columns.events = ColumnarTable.from_rows(
             np.asarray(events).reshape(-1, EV_WIDTH)
         )
-        columns.dimms = Vocabulary.from_names(
-            [str(name) for name in np.asarray(dimm_names).tolist()]
-        )
-        columns.servers = Vocabulary.from_names(
-            [str(name) for name in np.asarray(server_names).tolist()]
-        )
+        for attr, names in (
+            ("dimms", dimm_names),
+            ("servers", server_names),
+            ("details", detail_names),
+        ):
+            setattr(
+                columns,
+                attr,
+                Vocabulary.from_names(
+                    [str(name) for name in np.asarray(names).tolist()]
+                ),
+            )
         columns.version = len(columns.ces) + len(columns.ues) + len(
             columns.events
         )
-        columns._fleet = None
-        columns._fleet_version = -1
         return columns
 
     @classmethod
@@ -491,6 +695,7 @@ class TelemetryColumns:
             arrays["events"],
             arrays["dimm_names"],
             arrays["server_names"],
+            arrays["detail_names"],
         )
 
 

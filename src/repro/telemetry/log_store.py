@@ -2,8 +2,12 @@
 
 The store is the in-process stand-in for the paper's Data Lake: every CE,
 UE, memory event and configuration record lands here, and the analysis and
-feature layers query it.  Records can be persisted to / loaded from JSONL so
-the MLOps data pipeline has a durable format.
+feature layers query it.  A :class:`LogStore` is a
+:class:`~repro.telemetry.columnar.TelemetryColumns` (the one copy of every
+CE/UE/event) plus the DIMM configuration records; record objects are built
+from the column rows only when a caller asks for them.  Records can be
+persisted to / loaded from JSONL so the MLOps data pipeline has a durable
+format; the loader parses straight into column rows.
 """
 
 from __future__ import annotations
@@ -18,168 +22,96 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.telemetry.columnar import FleetArrays, TelemetryColumns
+from repro.telemetry.columnar import DIMM_COLUMNS, FleetArrays, TelemetryColumns
 from repro.telemetry.records import (
     CERecord,
     DimmConfigRecord,
     MemEventRecord,
     UERecord,
-    record_from_dict,
 )
 
-
 class LogStore:
-    """Holds all telemetry of one simulated (or ingested) campaign."""
+    """Holds all telemetry of one simulated (or ingested) campaign.
 
-    def __init__(self) -> None:
-        self._ces: list[CERecord] = []
-        self._ues: list[UERecord] = []
-        self._events: list[MemEventRecord] = []
-        self._configs: dict[str, DimmConfigRecord] = {}
-        self._ce_by_dimm: dict[str, list[CERecord]] = {}
-        self._ue_by_dimm: dict[str, list[UERecord]] = {}
-        self._events_by_dimm: dict[str, list[MemEventRecord]] = {}
-        self._sorted = True
-        # Columnar (struct-of-arrays) mirror: feeds the fleet-level
-        # extraction engine without touching the record objects again.
-        self.columns = TelemetryColumns()
+    ``columns`` may be an existing :class:`TelemetryColumns` (a quarantined
+    or memory-mapped shard's tables, say): the store wraps it as is.
+    """
+
+    def __init__(
+        self,
+        columns: TelemetryColumns | None = None,
+        configs: dict[str, DimmConfigRecord] | None = None,
+    ) -> None:
+        self.columns = TelemetryColumns() if columns is None else columns
+        self._configs: dict[str, DimmConfigRecord] = dict(configs or {})
         #: Malformed JSONL lines/payloads dropped by :meth:`load_jsonl`.
         self.skipped_lines = 0
-        # Per-(kind, dimm) timestamp arrays backing the binary searches in
-        # _slice_by_time; rebuilt lazily, invalidated on append.
-        self._ts_cache: dict[tuple[str, str], np.ndarray] = {}
 
     # -- ingestion ---------------------------------------------------------
 
-    def add_ce(self, record: CERecord) -> None:
-        self._ces.append(record)
-        self._ce_by_dimm.setdefault(record.dimm_id, []).append(record)
-        self.columns.append_ce(record)
-        self._sorted = False
-        self._ts_cache.pop(("ce", record.dimm_id), None)
+    def add_ce(self, record: CERecord | UERecord | MemEventRecord) -> None:
+        """Append one CE, UE or memory event (checked and encoded)."""
+        self.columns.append(record)
 
-    def add_ue(self, record: UERecord) -> None:
-        self._ues.append(record)
-        self._ue_by_dimm.setdefault(record.dimm_id, []).append(record)
-        self.columns.append_ue(record)
-        self._sorted = False
-        self._ts_cache.pop(("ue", record.dimm_id), None)
-
-    def add_event(self, record: MemEventRecord) -> None:
-        self._events.append(record)
-        self._events_by_dimm.setdefault(record.dimm_id, []).append(record)
-        self.columns.append_event(record)
-        self._sorted = False
-        self._ts_cache.pop(("event", record.dimm_id), None)
+    add_ue = add_event = add_ce
 
     def add_config(self, record: DimmConfigRecord) -> None:
         self._configs[record.dimm_id] = record
 
-    def extend(self, records: Iterable) -> None:
-        """Ingest a heterogeneous stream of records."""
-        for record in records:
-            if isinstance(record, CERecord):
-                self.add_ce(record)
-            elif isinstance(record, UERecord):
-                self.add_ue(record)
-            elif isinstance(record, MemEventRecord):
-                self.add_event(record)
-            elif isinstance(record, DimmConfigRecord):
-                self.add_config(record)
-            else:
-                raise TypeError(f"unknown record type {type(record)!r}")
-
     def ingest_bulk(self, records: Iterable) -> int:
-        """Bulk ingestion: one columnar append per record kind.
-
-        Equivalent to :meth:`extend` but amortizes the columnar-store work
-        over the whole batch (one table construction per kind instead of a
-        per-record row append); this is the JSONL-load fast path.
+        """Ingest a heterogeneous stream of records, one table append per
+        kind.  Every record is encoded (and checked) before any row is
+        stored: a record the columns cannot hold raises
+        :class:`~repro.telemetry.columnar.RecordEncodingError` and no row
+        of the batch lands.
         """
-        ces: list[CERecord] = []
-        ues: list[UERecord] = []
-        events: list[MemEventRecord] = []
+        rows: dict[str, list] = {kind: [] for kind in DIMM_COLUMNS}
         count = 0
+        encode = self.columns.encode
         for record in records:
             count += 1
-            if isinstance(record, CERecord):
-                ces.append(record)
-            elif isinstance(record, UERecord):
-                ues.append(record)
-            elif isinstance(record, MemEventRecord):
-                events.append(record)
-            elif isinstance(record, DimmConfigRecord):
-                self._configs[record.dimm_id] = record
-            else:
-                raise TypeError(f"unknown record type {type(record)!r}")
-        for record in ces:
-            self._ce_by_dimm.setdefault(record.dimm_id, []).append(record)
-        for record in ues:
-            self._ue_by_dimm.setdefault(record.dimm_id, []).append(record)
-        for record in events:
-            self._events_by_dimm.setdefault(record.dimm_id, []).append(record)
-        self._ces.extend(ces)
-        self._ues.extend(ues)
-        self._events.extend(events)
-        self.columns.extend_ces(ces)
-        self.columns.extend_ues(ues)
-        self.columns.extend_events(events)
-        if ces or ues or events:
-            self._sorted = False
-            self._ts_cache.clear()
+            if isinstance(record, DimmConfigRecord):
+                self.add_config(record)
+                continue
+            kind, row = encode(record)
+            rows[kind].append(row)
+        self.columns.extend_rows(rows)
         return count
-
-    def _ensure_sorted(self) -> None:
-        if self._sorted:
-            return
-        key = lambda record: record.timestamp_hours  # noqa: E731
-        self._ces.sort(key=key)
-        self._ues.sort(key=key)
-        self._events.sort(key=key)
-        for per_dimm in (self._ce_by_dimm, self._ue_by_dimm, self._events_by_dimm):
-            for records in per_dimm.values():
-                records.sort(key=key)
-        self._sorted = True
 
     # -- queries -----------------------------------------------------------
 
+    def _all(self, kind: str) -> list:
+        """``kind``'s records in time order (ties in ingestion order)."""
+        times = getattr(self.columns, kind).rows()[:, 0]
+        return self.columns.records(kind, np.argsort(times, kind="stable"))
+
     @property
     def ces(self) -> list[CERecord]:
-        self._ensure_sorted()
-        return self._ces
+        return self._all("ces")
 
     @property
     def ues(self) -> list[UERecord]:
-        self._ensure_sorted()
-        return self._ues
+        return self._all("ues")
 
     @property
     def events(self) -> list[MemEventRecord]:
-        self._ensure_sorted()
-        return self._events
+        return self._all("events")
 
     @property
     def configs(self) -> dict[str, DimmConfigRecord]:
         return dict(self._configs)
 
     def dimm_ids_with_ces(self) -> list[str]:
-        return sorted(self._ce_by_dimm)
+        return self.columns.fleet_view().dimm_ids
 
     def config_for(self, dimm_id: str) -> DimmConfigRecord:
         return self._configs[dimm_id]
 
-    def _timestamps(self, kind: str, dimm_id: str, records: list) -> np.ndarray:
-        """Cached timestamp array of one DIMM's records (call after sorting)."""
-        key = (kind, dimm_id)
-        cached = self._ts_cache.get(key)
-        if cached is None or cached.size != len(records):
-            cached = np.fromiter(
-                (record.timestamp_hours for record in records),
-                dtype=float,
-                count=len(records),
-            )
-            self._ts_cache[key] = cached
-        return cached
+    def _for_dimm(self, kind, dimm_id, start_hour, end_hour) -> list:
+        return self.columns.records(
+            kind,
+            self.columns.dimm_rows(kind, dimm_id, start_hour, end_hour),
+        )
 
     def ces_for_dimm(
         self,
@@ -188,12 +120,7 @@ class LogStore:
         end_hour: float | None = None,
     ) -> list[CERecord]:
         """CEs of one DIMM within ``[start_hour, end_hour)`` (half-open)."""
-        self._ensure_sorted()
-        records = self._ce_by_dimm.get(dimm_id, [])
-        return _slice_by_time(
-            records, self._timestamps("ce", dimm_id, records),
-            start_hour, end_hour,
-        )
+        return self._for_dimm("ces", dimm_id, start_hour, end_hour)
 
     def ues_for_dimm(
         self,
@@ -201,12 +128,7 @@ class LogStore:
         start_hour: float | None = None,
         end_hour: float | None = None,
     ) -> list[UERecord]:
-        self._ensure_sorted()
-        records = self._ue_by_dimm.get(dimm_id, [])
-        return _slice_by_time(
-            records, self._timestamps("ue", dimm_id, records),
-            start_hour, end_hour,
-        )
+        return self._for_dimm("ues", dimm_id, start_hour, end_hour)
 
     def events_for_dimm(
         self,
@@ -214,55 +136,39 @@ class LogStore:
         start_hour: float | None = None,
         end_hour: float | None = None,
     ) -> list[MemEventRecord]:
-        self._ensure_sorted()
-        records = self._events_by_dimm.get(dimm_id, [])
-        return _slice_by_time(
-            records, self._timestamps("event", dimm_id, records),
-            start_hour, end_hour,
-        )
+        return self._for_dimm("events", dimm_id, start_hour, end_hour)
 
     def fleet_arrays(self) -> FleetArrays:
-        """Columnar fleet view: every DIMM's history as ragged arrays.
-
-        This is the zero-object-loop path the fleet extraction engine
-        consumes; see :class:`repro.telemetry.columnar.FleetArrays`.
-        The view is cached until the next appended record.
-        """
+        """Every DIMM's history as ragged arrays (cached until the next
+        append); see :class:`repro.telemetry.columnar.FleetArrays`."""
         return self.columns.fleet_view()
 
     def first_ce_hour(self, dimm_id: str) -> float | None:
-        records = self.ces_for_dimm(dimm_id)
-        return records[0].timestamp_hours if records else None
-
-    def first_ue_hour(self, dimm_id: str) -> float | None:
-        records = self.ues_for_dimm(dimm_id)
-        return records[0].timestamp_hours if records else None
+        rows = self.columns.dimm_rows("ces", dimm_id)
+        return float(self.columns.ces.rows()[rows[0], 0]) if rows.size else None
 
     @property
     def end_hour(self) -> float:
         """Timestamp of the last record in the store (0.0 when empty)."""
-        self._ensure_sorted()
-        last = 0.0
-        for records in (self._ces, self._ues, self._events):
-            if records:
-                last = max(last, records[-1].timestamp_hours)
-        return last
+        times = [getattr(self.columns, kind).rows()[:, 0] for kind in DIMM_COLUMNS]
+        return float(np.fmax.reduce(np.concatenate(times), initial=0.0))
 
     # -- persistence ---------------------------------------------------------
 
     def dump_jsonl(self, path: str | Path, chunk_lines: int = 4096) -> int:
         """Write every record as one JSON object per line; returns count.
 
+        Configs first, then CEs, UEs and events, each kind in time order.
         Lines are buffered and written ``chunk_lines`` at a time: few
         write syscalls without ever materializing the whole serialized
         campaign in memory.
         """
-        self._ensure_sorted()
         path = Path(path)
         count = 0
         chunk: list[str] = []
         with path.open("w", encoding="utf-8") as handle:
-            for records in (self._configs.values(), self._ces, self._ues, self._events):
+            for records in (self._configs.values(), self.ces, self.ues,
+                            self.events):
                 for record in records:
                     chunk.append(json.dumps(record.to_dict()))
                     if len(chunk) >= chunk_lines:
@@ -281,55 +187,52 @@ class LogStore:
         chunk_lines: int = 4096,
         metrics=None,
     ) -> "LogStore":
-        """Bulk load: chunked JSON parses + one columnar ingest.
+        """Bulk load: chunked JSON parses straight into column rows.
 
         Joining ``chunk_lines`` lines into one JSON array trades that many
         small ``json.loads`` calls for one C-level parse while keeping the
-        set of live payload dicts bounded (a whole-file join wins the parse
-        but loses more to allocator/GC pressure).  :meth:`ingest_bulk` then
-        appends each record kind to the columnar store in one shot instead
-        of per row.  Cyclic GC is suspended for the duration: the load
-        allocates millions of acyclic, long-lived objects, and letting the
-        collector scan a large live heap on every allocation threshold
-        dominates load time in long-running processes.
+        set of live payload dicts bounded.  Each payload is typed and
+        encoded into a column row (no record object per line), and each
+        kind's rows land in its table in one copy.  Cyclic GC is
+        suspended for the duration: scanning a large live heap on every
+        allocation threshold dominates load time in long-running processes.
 
-        Malformed lines (broken JSON, or payloads that don't decode into a
-        record) are skipped, counted on the returned store's
-        ``skipped_lines``, and surfaced in one warning — a torn tail line
-        from a crashed writer must not make a whole campaign unloadable.
-        ``metrics`` (a :class:`repro.obs.MetricsRegistry`) additionally
-        exposes the count as
-        ``repro_logstore_skipped_lines_total{source=<file name>}``.
+        Malformed lines are skipped, counted on the returned store's
+        ``skipped_lines`` and surfaced in one warning: broken JSON, a
+        non-object line, an unknown ``record_type``, a missing field or a
+        field of the wrong JSON type (``"dq_count": "3"``, ``"dimm_id":
+        7``, ...).  A torn tail line from a crashed writer must not make a
+        whole campaign unloadable.  ``metrics`` (a
+        :class:`repro.obs.MetricsRegistry`) additionally exposes the count
+        as ``repro_logstore_skipped_lines_total{source=<file name>}``.
         """
         store = cls()
-        records: list = []
+        encode = store.columns.encode_payload
+        rows: dict[str, list] = {kind: [] for kind in DIMM_COLUMNS}
         skipped = 0
-
-        def on_skip(_line: str) -> None:
-            nonlocal skipped
-            skipped += 1
-
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             with Path(path).open("r", encoding="utf-8") as handle:
                 for payloads in _iter_payload_chunks(
-                    handle, chunk_lines, on_skip=on_skip
+                    handle, chunk_lines, tolerant=True
                 ):
-                    mark = len(records)
-                    try:
-                        records.extend(map(record_from_dict, payloads))
-                    except (KeyError, ValueError, TypeError):
-                        # Rare path: re-walk the chunk per payload so only
-                        # the malformed records are dropped (the partial
-                        # extend is rolled back first).
-                        del records[mark:]
-                        for payload in payloads:
-                            try:
-                                records.append(record_from_dict(payload))
-                            except (KeyError, ValueError, TypeError):
-                                skipped += 1
-            store.ingest_bulk(records)
+                    for payload in payloads:
+                        if type(payload) is not dict:  # broken JSON is None
+                            skipped += 1
+                            continue
+                        try:
+                            if payload["record_type"] == "config":
+                                store.add_config(
+                                    DimmConfigRecord.from_dict(payload)
+                                )
+                                continue
+                            kind, row = encode(payload)
+                        except (KeyError, ValueError):
+                            skipped += 1
+                            continue
+                        rows[kind].append(row)
+            store.columns.extend_rows(rows)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -349,40 +252,17 @@ class LogStore:
         return store
 
     def __len__(self) -> int:
-        return len(self._ces) + len(self._ues) + len(self._events)
+        columns = self.columns
+        return len(columns.ces) + len(columns.ues) + len(columns.events)
 
 
-def _slice_by_time(
-    records: list,
-    timestamps: np.ndarray,
-    start_hour: float | None,
-    end_hour: float | None,
-):
-    """Binary-search a time-sorted record list down to a half-open window."""
-    if not records:
-        return []
-    if start_hour is None and end_hour is None:
-        return records[:]
-    lo = (
-        0
-        if start_hour is None
-        else int(np.searchsorted(timestamps, start_hour, side="left"))
-    )
-    hi = (
-        len(records)
-        if end_hour is None
-        else int(np.searchsorted(timestamps, end_hour, side="left"))
-    )
-    return records[lo:hi]
+def _iter_payload_chunks(handle, chunk_lines: int, tolerant: bool = False):
+    """Yield payload lists, one C-level JSON parse per line chunk.
 
-
-def _iter_payload_chunks(handle, chunk_lines: int, on_skip=None):
-    """Yield payload-dict lists, one C-level JSON parse per line chunk.
-
-    With ``on_skip`` set, a chunk whose joined parse fails is re-parsed
-    line by line and each broken line is reported via ``on_skip(line)``
-    instead of aborting the whole load; without it, the JSON error
-    propagates (the strict behaviour ``read_jsonl_payloads`` keeps).
+    When ``tolerant``, a chunk whose joined parse fails is re-parsed line
+    by line and each broken line yields a ``None`` payload instead of
+    aborting the whole load; otherwise the JSON error propagates (the
+    strict behaviour ``read_jsonl_payloads`` keeps).
     """
     while True:
         chunk = list(itertools.islice(handle, chunk_lines))
@@ -394,18 +274,16 @@ def _iter_payload_chunks(handle, chunk_lines: int, on_skip=None):
         try:
             yield json.loads("[" + body + "]")
         except json.JSONDecodeError:
-            if on_skip is None:
+            if not tolerant:
                 raise
-            payloads = []
-            for line in chunk:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payloads.append(json.loads(line))
-                except json.JSONDecodeError:
-                    on_skip(line)
-            yield payloads
+            yield [_parse_or_none(line) for line in chunk if line.strip()]
+
+
+def _parse_or_none(line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return None
 
 
 def read_jsonl_payloads(path: str | Path, chunk_lines: int = 4096) -> list[dict]:
@@ -420,10 +298,9 @@ def read_jsonl_payloads(path: str | Path, chunk_lines: int = 4096) -> list[dict]
 def iter_stream(store: LogStore) -> Iterator:
     """Yield all CE/UE/event records in global timestamp order.
 
-    This is the "stream" view the MLOps online-serving path consumes.  The
-    three per-kind lists are already time-sorted, so a k-way heap merge
-    replaces the full re-sort (ties keep the CE < UE < event order the old
-    stable sort produced).
+    This is the "stream" view the MLOps online-serving path consumes.  A
+    k-way heap merge of the three time-sorted kinds (ties keep the
+    CE < UE < event order, then ingestion order).
     """
     return heapq.merge(
         store.ces, store.ues, store.events,

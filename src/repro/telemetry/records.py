@@ -12,10 +12,26 @@ and calibration only; the feature pipeline never reads it.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Any
 
 from repro.dram.errorbits import BusErrorPattern
+
+
+def _from_dict(cls, payload: dict[str, Any], **convert):
+    """``cls`` from its ``to_dict`` form.
+
+    Fields with a default may be missing; ``convert`` maps a field name to
+    the decoder of its JSON value (``devices`` list -> tuple, ...).
+    """
+    kwargs = {}
+    for f in fields(cls):
+        value = (
+            payload[f.name] if f.default is MISSING
+            else payload.get(f.name, f.default)
+        )
+        kwargs[f.name] = convert[f.name](value) if f.name in convert else value
+    return cls(**kwargs)
 
 
 class MemEventKind(enum.Enum):
@@ -60,24 +76,7 @@ class CERecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "CERecord":
-        # Explicit kwargs (no payload copy): this runs once per line on the
-        # JSONL bulk-load path, where the dict round trip dominated.
-        return cls(
-            timestamp_hours=payload["timestamp_hours"],
-            server_id=payload["server_id"],
-            dimm_id=payload["dimm_id"],
-            rank=payload["rank"],
-            bank=payload["bank"],
-            row=payload["row"],
-            column=payload["column"],
-            devices=tuple(payload["devices"]),
-            dq_count=payload["dq_count"],
-            beat_count=payload["beat_count"],
-            dq_interval=payload["dq_interval"],
-            beat_interval=payload["beat_interval"],
-            error_bit_count=payload["error_bit_count"],
-            fault_id=payload.get("fault_id", -1),
-        )
+        return _from_dict(cls, payload, devices=tuple)
 
     @classmethod
     def from_pattern(
@@ -142,18 +141,7 @@ class UERecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "UERecord":
-        return cls(
-            timestamp_hours=payload["timestamp_hours"],
-            server_id=payload["server_id"],
-            dimm_id=payload["dimm_id"],
-            rank=payload["rank"],
-            bank=payload["bank"],
-            row=payload["row"],
-            column=payload["column"],
-            devices=tuple(payload["devices"]),
-            sudden=payload.get("sudden", False),
-            fault_id=payload.get("fault_id", -1),
-        )
+        return _from_dict(cls, payload, devices=tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,13 +166,7 @@ class MemEventRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "MemEventRecord":
-        return cls(
-            timestamp_hours=payload["timestamp_hours"],
-            server_id=payload["server_id"],
-            dimm_id=payload["dimm_id"],
-            kind=MemEventKind(payload["kind"]),
-            detail=payload.get("detail", ""),
-        )
+        return _from_dict(cls, payload, kind=MemEventKind)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,17 +190,7 @@ class DimmConfigRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "DimmConfigRecord":
-        return cls(
-            dimm_id=payload["dimm_id"],
-            server_id=payload["server_id"],
-            platform=payload["platform"],
-            manufacturer=payload["manufacturer"],
-            part_number=payload["part_number"],
-            capacity_gb=payload["capacity_gb"],
-            data_width=payload["data_width"],
-            frequency_mts=payload["frequency_mts"],
-            chip_process=payload["chip_process"],
-        )
+        return _from_dict(cls, payload)
 
 
 RECORD_TYPES = {

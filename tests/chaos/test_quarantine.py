@@ -12,6 +12,16 @@ from repro.chaos.quarantine import (
     quarantine_columns,
 )
 from repro.streaming.bus import EventBus
+from repro.telemetry.columnar import (
+    CE_BANK,
+    CE_BEAT_INTERVAL,
+    CE_COLUMN,
+    CE_DEVICE0,
+    CE_DQ_COUNT,
+    CE_ERROR_BITS,
+    CE_ROW,
+    CE_T,
+)
 from repro.telemetry.log_store import LogStore
 from repro.telemetry.records import CERecord, DimmConfigRecord
 
@@ -100,26 +110,35 @@ class TestScalarChecker:
     """The online service's per-CE check and the vectorised pass apply the
     same rules, so they must agree on every row."""
 
+    #: Hostile values by CE column.  The store refuses a record holding
+    #: them (NaN, infinite or fractional integer fields, a NaN device), so
+    #: they are written into the table directly, as a corrupt shard would
+    #: carry them.
     HOSTILE = [
-        {"timestamp_hours": float("nan")},
-        {"timestamp_hours": float("inf")},
-        {"timestamp_hours": -5.0},
-        {"row": float("nan")},
-        {"column": float("-inf")},
-        {"bank": MAX_COORDINATE},
-        {"devices": (float("nan"),)},
-        {"dq_count": float("inf")},
-        {"beat_interval": -1},
-        {"error_bit_count": float("nan")},
-        {"dq_count": 1e9},
-        {"error_bit_count": MAX_COUNT},
-        {"timestamp_hours": -1.0, "row": -1, "dq_count": -1},
+        {CE_T: float("nan")},
+        {CE_T: float("inf")},
+        {CE_T: -5.0},
+        {CE_ROW: float("nan")},
+        {CE_COLUMN: float("-inf")},
+        {CE_BANK: MAX_COORDINATE},
+        {CE_DEVICE0: float("nan")},
+        {CE_DQ_COUNT: float("inf")},
+        {CE_BEAT_INTERVAL: -1},
+        {CE_ERROR_BITS: float("nan")},
+        {CE_DQ_COUNT: 1e9},
+        {CE_ERROR_BITS: MAX_COUNT},
+        {CE_T: -1.0, CE_ROW: -1, CE_DQ_COUNT: -1},
     ]
 
     def test_scalar_checker_matches_vectorised_pass(self, tiny_study):
-        store = _store(
-            [_ce(1.0)] + [_ce(2.0 + i, **o) for i, o in enumerate(self.HOSTILE)]
-        )
+        store = _store([_ce(1.0)])
+        template = store.columns.ces.rows()[0].copy()
+        for i, overrides in enumerate(self.HOSTILE):
+            row = template.copy()
+            row[CE_T] = 2.0 + i
+            for column, value in overrides.items():
+                row[column] = value
+            store.columns.ces.append(tuple(row))
         rows = store.columns.ces.rows()
         bus = EventBus()
         letters = []

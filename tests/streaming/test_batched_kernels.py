@@ -146,7 +146,7 @@ def _build_store(records, n_dimms: int = 3) -> LogStore:
     store = LogStore()
     for i in range(n_dimms):
         store.add_config(_config(f"d{i}", f"s{i % 2}", i))
-    store.extend(records)
+    store.ingest_bulk(records)
     return store
 
 

@@ -1,9 +1,15 @@
 """Property tests for the columnar telemetry store.
 
-Invariants under random (and adversarially out-of-order) record streams:
+Invariants under random (and adversarially out-of-order) record streams,
+each checked against the test's own input records (the store builds its
+records from the same columns, so comparing it with itself proves
+nothing):
 
 * every per-DIMM slice of the fleet view equals the record-object path
-  (:meth:`DimmHistory.from_records`), bit-for-bit;
+  (:meth:`DimmHistory.from_records`) over the input records, bit-for-bit;
+* the record queries (``ces``/``ues``/``events``, the per-DIMM and
+  windowed queries, :func:`iter_stream`) return the inputs, time-sorted
+  with ties in ingestion order;
 * segment offsets are monotone and partition the concatenated arrays;
 * bulk ingestion == per-record appends;
 * JSONL round-trips through the bulk loader reproduce the store exactly.
@@ -17,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.features.windows import DimmHistory
 from repro.telemetry.columnar import segmented_searchsorted
-from repro.telemetry.log_store import LogStore
+from repro.telemetry.log_store import LogStore, iter_stream
 from repro.telemetry.records import (
     CERecord,
     MemEventKind,
@@ -33,24 +39,54 @@ _HISTORY_FIELDS = (
 _DIMMS = ("dimm-a", "dimm-b", "dimm-c")
 
 
+def _devices(salt: int) -> tuple:
+    """No device, one device, or an ascending pair up to device 17."""
+    if salt % 5 == 0:
+        return ()
+    if salt % 5 == 1:
+        return (salt % 18,)
+    return (salt % 4, 4 + salt % 14)
+
+
+def _time(t: float, salt: int) -> float:
+    """Every seventh record carries a garbled negative clock, as the
+    chaos injector's ``_corrupt_ce`` writes one."""
+    return -1.0 - t / 1000.0 if salt % 7 == 0 else float(t)
+
+
 def make_ce(t: float, dimm: str, salt: int = 0) -> CERecord:
+    fault = {} if salt % 3 == 0 else {"fault_id": salt}
     return CERecord(
-        timestamp_hours=float(t), server_id=f"server-{hash(dimm) % 3}",
-        dimm_id=dimm, rank=0, bank=salt % 4, row=salt % 64,
-        column=(salt * 7) % 32, devices=(salt % 4,) if salt % 5 else (),
+        timestamp_hours=_time(t, salt), server_id=f"server-{hash(dimm) % 3}",
+        dimm_id=dimm, rank=salt % 2, bank=salt % 4,
+        # Negative coordinates, as the chaos injector corrupts them.
+        row=-1 - salt if salt % 11 == 0 else salt % 64,
+        column=(salt * 7) % 32, devices=_devices(salt),
         dq_count=1 + salt % 4, beat_count=1 + salt % 3,
         dq_interval=salt % 5, beat_interval=salt % 6,
-        error_bit_count=1 + salt % 4,
+        error_bit_count=1 + salt % 4, **fault,
     )
 
 
 def make_event(t: float, dimm: str, salt: int) -> MemEventRecord:
     kinds = list(MemEventKind)
     return MemEventRecord(
-        timestamp_hours=float(t), server_id="s0", dimm_id=dimm,
-        kind=kinds[salt % len(kinds)],
+        timestamp_hours=_time(t, salt), server_id=f"s{salt % 2}",
+        dimm_id=dimm, kind=kinds[salt % len(kinds)],
+        detail=f"row {salt}" if salt % 2 else "",
     )
 
+
+def make_ue(t: float, dimm: str, salt: int) -> UERecord:
+    fault = {} if salt % 3 == 0 else {"fault_id": 100 + salt}
+    return UERecord(
+        timestamp_hours=_time(t, salt), server_id="s0", dimm_id=dimm,
+        rank=salt % 2, bank=salt % 3, row=salt, column=-salt,
+        devices=_devices(salt + 1), sudden=salt % 2 == 0, **fault,
+    )
+
+
+_MAKERS = {"ce": make_ce, "event": make_event, "ue": make_ue}
 
 record_stream = st.lists(
     st.tuples(
@@ -64,21 +100,32 @@ record_stream = st.lists(
 )
 
 
+def make_records(stream) -> list:
+    return [_MAKERS[kind](t, dimm, salt) for t, dimm, salt, kind in stream]
+
+
 def build_store(stream) -> LogStore:
     store = LogStore()
-    for t, dimm, salt, kind in stream:
-        if kind == "ce":
-            store.add_ce(make_ce(t, dimm, salt))
-        elif kind == "event":
-            store.add_event(make_event(t, dimm, salt))
+    for record in make_records(stream):
+        if isinstance(record, CERecord):
+            store.add_ce(record)
+        elif isinstance(record, MemEventRecord):
+            store.add_event(record)
         else:
-            store.add_ue(
-                UERecord(
-                    timestamp_hours=float(t), server_id="s0", dimm_id=dimm,
-                    rank=0, bank=0, row=0, column=0, devices=(0,),
-                )
-            )
+            store.add_ue(record)
     return store
+
+
+def by_time(records) -> list:
+    """The expected query order: time-sorted, ties in ingestion order."""
+    return sorted(records, key=lambda record: record.timestamp_hours)
+
+
+def inputs_of(stream, cls, dimm=None) -> list:
+    return by_time(
+        record for record in make_records(stream)
+        if isinstance(record, cls) and dimm in (None, record.dimm_id)
+    )
 
 
 @given(record_stream)
@@ -86,10 +133,13 @@ def build_store(stream) -> LogStore:
 def test_fleet_slices_equal_from_records(stream):
     store = build_store(stream)
     fleet = store.fleet_arrays()
-    assert fleet.dimm_ids == store.dimm_ids_with_ces()
+    assert fleet.dimm_ids == sorted(
+        {r.dimm_id for r in make_records(stream) if isinstance(r, CERecord)}
+    )
     for i, dimm_id in enumerate(fleet.dimm_ids):
+        ces = inputs_of(stream, CERecord, dimm_id)
         reference = DimmHistory.from_records(
-            dimm_id, store.ces_for_dimm(dimm_id), store.events_for_dimm(dimm_id)
+            dimm_id, ces, inputs_of(stream, MemEventRecord, dimm_id)
         )
         lo, hi = fleet.ce_offsets[i], fleet.ce_offsets[i + 1]
         for name in _HISTORY_FIELDS:
@@ -106,12 +156,54 @@ def test_fleet_slices_equal_from_records(stream):
             ],
             reference.repair_times,
         )
-        assert fleet.server_ids[i] == reference.server_id
-        ues = store.ues_for_dimm(dimm_id)
+        assert fleet.server_ids[i] == ces[0].server_id
+        ues = inputs_of(stream, UERecord, dimm_id)
         if ues:
             assert fleet.ue_hours[i] == ues[0].timestamp_hours
         else:
             assert np.isnan(fleet.ue_hours[i])
+
+
+@given(
+    record_stream,
+    st.floats(-2.0, 500.0, allow_nan=False),
+    st.floats(-2.0, 500.0, allow_nan=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_record_queries_equal_inputs(stream, a, b):
+    store = build_store(stream)
+    ces = inputs_of(stream, CERecord)
+    ues = inputs_of(stream, UERecord)
+    events = inputs_of(stream, MemEventRecord)
+    assert store.ces == ces
+    assert store.ues == ues
+    assert store.events == events
+    assert len(store) == len(stream)
+    # CE < UE < event on equal timestamps, then ingestion order.
+    assert list(iter_stream(store)) == by_time(ces + ues + events)
+    lo, hi = min(a, b), max(a, b)
+    for dimm in _DIMMS + ("dimm-unknown",):
+        for cls, query in (
+            (CERecord, store.ces_for_dimm),
+            (UERecord, store.ues_for_dimm),
+            (MemEventRecord, store.events_for_dimm),
+        ):
+            expected = inputs_of(stream, cls, dimm)
+            assert query(dimm) == expected
+            assert query(dimm, lo, hi) == [
+                r for r in expected if lo <= r.timestamp_hours < hi
+            ]
+            assert query(dimm, start_hour=lo) == [
+                r for r in expected if lo <= r.timestamp_hours
+            ]
+            assert query(dimm, end_hour=hi) == [
+                r for r in expected if r.timestamp_hours < hi
+            ]
+        dimm_ces = inputs_of(stream, CERecord, dimm)
+        assert store.first_ce_hour(dimm) == (
+            dimm_ces[0].timestamp_hours if dimm_ces else None
+        )
+    assert store.dimm_ids_with_ces() == sorted({ce.dimm_id for ce in ces})
 
 
 @given(record_stream)
@@ -137,19 +229,7 @@ def test_offsets_partition_and_segments_sorted(stream):
 def test_bulk_ingest_equals_per_record_appends(stream):
     incremental = build_store(stream)
     bulk = LogStore()
-    records = []
-    for t, dimm, salt, kind in stream:
-        if kind == "ce":
-            records.append(make_ce(t, dimm, salt))
-        elif kind == "event":
-            records.append(make_event(t, dimm, salt))
-        else:
-            records.append(
-                UERecord(
-                    timestamp_hours=float(t), server_id="s0", dimm_id=dimm,
-                    rank=0, bank=0, row=0, column=0, devices=(0,),
-                )
-            )
+    records = make_records(stream)
     bulk.ingest_bulk(records)
     a, b = incremental.fleet_arrays(), bulk.fleet_arrays()
     assert a.dimm_ids == b.dimm_ids
@@ -166,14 +246,20 @@ def test_bulk_ingest_equals_per_record_appends(stream):
 def test_jsonl_round_trip_through_columnar(stream):
     store = build_store(stream)
     with tempfile.TemporaryDirectory() as tmp:
-        _check_round_trip(store, Path(tmp))
+        loaded = _check_round_trip(store, Path(tmp))
+    # Every field survives: devices=(), negative coordinates and clocks,
+    # event details, sudden UEs and the default fault_id.
+    assert loaded.ces == inputs_of(stream, CERecord)
+    assert loaded.ues == inputs_of(stream, UERecord)
+    assert loaded.events == inputs_of(stream, MemEventRecord)
 
 
-def _check_round_trip(store, tmp: Path) -> None:
+def _check_round_trip(store, tmp: Path) -> LogStore:
     path = tmp / "campaign.jsonl"
     count = store.dump_jsonl(path)
     assert count == len(store)
     loaded = LogStore.load_jsonl(path)
+    assert loaded.skipped_lines == 0
     assert len(loaded) == len(store)
     a, b = store.fleet_arrays(), loaded.fleet_arrays()
     assert a.dimm_ids == b.dimm_ids
@@ -184,6 +270,7 @@ def _check_round_trip(store, tmp: Path) -> None:
     path2 = path.with_suffix(".jsonl2")
     loaded.dump_jsonl(path2)
     assert path.read_text() == path2.read_text()
+    return loaded
 
 
 @given(

@@ -1,5 +1,7 @@
 """Tests for telemetry records, MCE codec, log store and BMC path."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dram.errorbits import BusErrorPattern, DeviceErrorBitmap
 from repro.ras.ce_storm import StormConfig
 from repro.telemetry.bmc import BmcCollector
+from repro.telemetry.columnar import RecordEncodingError
 from repro.telemetry.log_store import LogStore, iter_stream
 from repro.telemetry.mce import McaSignal, decode_mce, encode_mce
 from repro.telemetry.records import (
@@ -150,12 +153,12 @@ class TestLogStore:
     def test_extend_dispatches_types(self):
         store = LogStore()
         config = DimmConfigRecord("d0", "s0", "p", "A", "pn", 32, 4, 2666, "1y")
-        store.extend([make_ce(), make_ue(), config,
-                      MemEventRecord(1.0, "s0", "d0", MemEventKind.CE_STORM)])
+        store.ingest_bulk([make_ce(), make_ue(), config,
+                           MemEventRecord(1.0, "s0", "d0", MemEventKind.CE_STORM)])
         assert len(store) == 3
         assert store.config_for("d0") == config
         with pytest.raises(TypeError):
-            store.extend([object()])
+            store.ingest_bulk([object()])
 
     def test_jsonl_roundtrip(self, tmp_path):
         store = LogStore()
@@ -188,6 +191,91 @@ class TestLogStore:
         assert loaded.skipped_lines == 2
         assert len(loaded.ces) == 2  # the good lines all survive
         assert [c.timestamp_hours for c in loaded.ces] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "5",
+            "[1, 2]",
+            '"x"',
+            "null",
+            {"timestamp_hours": "abc"},
+            {"dq_count": "3"},
+            {"rank": "x"},
+            {"dimm_id": 7},
+            {"devices": [2.0]},
+            {"rank": True},
+        ],
+        ids=[
+            "int", "list", "string", "null", "timestamp-str",
+            "dq_count-str", "rank-str", "dimm_id-int", "device-float",
+            "rank-bool",
+        ],
+    )
+    def test_load_jsonl_skips_mistyped_lines(self, tmp_path, bad_line):
+        """A non-object line or a CE field of the wrong JSON type is one
+        skipped line, never an exception or a silently loaded value."""
+        from repro.obs import Observability
+
+        store = LogStore()
+        for t in (1.0, 2.0, 3.0):
+            store.add_ce(make_ce(t=t, row=int(t)))
+        path = tmp_path / "typed.jsonl"
+        store.dump_jsonl(path)
+        lines = path.read_text().splitlines()
+        if isinstance(bad_line, dict):
+            payload = json.loads(lines[1])
+            payload.update(bad_line)
+            bad_line = json.dumps(payload)
+        lines[1] = bad_line
+        path.write_text("\n".join(lines) + "\n")
+        obs = Observability()
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed"):
+            loaded = LogStore.load_jsonl(path, metrics=obs.metrics)
+        assert loaded.skipped_lines == 1
+        (sample,) = obs.metrics.snapshot()[
+            "repro_logstore_skipped_lines_total"
+        ]["samples"]
+        assert sample["value"] == 1.0
+        assert loaded.ces == [make_ce(t=1.0, row=1), make_ce(t=3.0, row=3)]
+        assert loaded.columns.dimms.names() == ["d0"]
+        assert loaded.columns.servers.names() == ["s0"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"devices": (3, 1)},
+            {"devices": (2, 2)},
+            {"devices": (53,)},
+            {"devices": (-1,)},
+            {"devices": (float("nan"),)},
+            {"row": float("nan")},
+            {"row": 1.5},
+            {"dq_count": 1e9},
+            {"fault_id": 1 << 53},
+            {"rank": "0"},
+            {"dimm_id": 7},
+            {"t": "1.0"},
+        ],
+    )
+    def test_unencodable_record_raises_and_stores_nothing(self, overrides):
+        store = LogStore()
+        with pytest.raises(RecordEncodingError):
+            store.add_ce(make_ce(**overrides))
+        # Checked before any id is interned.
+        assert len(store) == 0 and store.columns.dimms.names() == []
+        with pytest.raises(RecordEncodingError):
+            store.ingest_bulk([make_ce(t=0.5), make_ce(**overrides)])
+        assert len(store) == 0  # no row of the batch lands
+
+    def test_device_bitmask_round_trips_every_x4_device(self):
+        store = LogStore()
+        every = tuple(range(18))
+        store.add_ce(make_ce(devices=every))
+        store.add_ce(make_ce(t=2.0, devices=()))
+        store.add_ue(make_ue())
+        assert [ce.devices for ce in store.ces] == [every, ()]
+        assert store.ues == [make_ue()]
 
     def test_iter_stream_is_time_ordered(self):
         store = LogStore()
