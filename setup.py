@@ -1,7 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the one list of the package's dependencies.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in offline
-environments whose setuptools predates PEP 660 editable-wheel support.
+Runtime requirements sit in ``install_requires`` and the test tools in the
+``dev`` extra; CI installs both with ``pip install -e ".[dev]"``.  There is
+no ``pyproject.toml``: a plain ``setup.py`` keeps ``pip install -e .``
+working offline with setuptools that predates PEP 660 editable wheels.
 """
 
 from setuptools import find_packages, setup

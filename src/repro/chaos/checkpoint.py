@@ -14,18 +14,21 @@ atomically-written pickle (tmp file + ``os.replace``) with this layout::
       "bus_counts": dict, # EventBus publish counters at snapshot time
     }
 
-``state`` is a *single* inner ``pickle.dumps`` of every piece of mutable
-decision state — incremental window states, the feature extractors, the
-alarm ledgers (with their unpicklable EventBus detached), pending
-micro-batch queues, rescore throttles, score logs, parity counters, the
-fleet policy engine with its RNG — so shared references (states ->
-extractor caches, policy actions -> alarm incidents) survive the round
-trip.  A payload of another ``kind`` (such as the retired
+``state`` is ONE inner pickle, written by the save both walks share, of
+the sequential decision state only: per platform the fields named in
+``fleetops.engine.DECISION_STATE`` (alarm ledger, window states, rescore
+throttle, scored DIMMs, pending queue, counters), plus the policy engine
+with its RNG and the score logs, so shared references (policy actions ->
+alarm incidents) survive.  Everything derivable is rebuilt on resume:
+the EventBus and each platform's ``IncrementalFeatureExtractor`` (with
+its fitted pipeline) are stored as references and re-bound to the
+resuming engine's own; window states resolve their environment lists
+again; lookup caches start empty; replay kernels, walk orders and
+vocabularies come from the input stores, and the walk skips its first
+``position`` entries.  Version 2 is this layout.  A payload of another
+version (version 1 pickled the extractors) or ``kind`` (the retired
 single-platform ``"replay"`` layout) is refused with a ``ValueError``
-before any state is read.  Everything *derivable* from the
-input store (replay kernels, walk orders, vocabularies) is deliberately
-NOT stored: the engines rebuild it deterministically on resume and skip
-the first ``position`` walk entries.
+before any state is read.
 
 Because processing is deterministic, a replay killed anywhere at or after
 a snapshot and resumed from it produces bit-identical score logs, alarms
@@ -39,7 +42,7 @@ import os
 import pickle
 from pathlib import Path
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, payload: dict) -> None:

@@ -36,9 +36,11 @@ Two interchangeable engines drive the same decision loop:
 
 from __future__ import annotations
 
+import io
 import pickle
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -90,17 +92,25 @@ class ServingAssignment:
     alarm_from_hour: float | None = None
 
 
+#: Every piece of sequential decision state either walk mutates: the one
+#: field list a checkpoint saves and a resume restores.  A batched walk
+#: keeps no window ``states`` and counts its served fallbacks in
+#: ``retired_fallbacks``.  The rest of a runtime (extractor, configs,
+#: ``pending_dimms``, ``state_configs``, buffers, timings) is rebuilt.
+DECISION_STATE = (
+    "alarms", "states", "last_scored", "scored_dimms", "pending",
+    "retired_fallbacks", "retired_rebuilds", "scored", "batches",
+    "predicted", "parity_checked", "parity_mismatches",
+)
+
+
 class _PlatformRuntime:
     """Mutable per-platform serving state for one replay pass."""
 
-    __slots__ = (
-        "assignment", "extractor", "alarms", "states", "state_configs",
-        "last_scored", "scored_dimms", "pending", "pending_dimms",
-        "retired_fallbacks",
-        "retired_rebuilds", "dimm_name", "server_name", "configs",
-        "threshold", "live_from", "alarm_from", "scored", "batches",
-        "predicted", "predict_seconds", "matrix_buf", "parity_checked",
-        "parity_mismatches",
+    __slots__ = DECISION_STATE + (
+        "assignment", "extractor", "state_configs", "pending_dimms",
+        "dimm_name", "server_name", "configs", "threshold", "live_from",
+        "alarm_from", "predict_seconds", "matrix_buf",
     )
 
     def __init__(self, assignment: ServingAssignment, alarms: AlarmManager):
@@ -133,6 +143,20 @@ class _PlatformRuntime:
         #: many differed (``verify_parity`` only).
         self.parity_checked = 0
         self.parity_mismatches = 0
+
+    def decision_state(self) -> dict:
+        """The sequential decision state a checkpoint saves."""
+        return {name: getattr(self, name) for name in DECISION_STATE}
+
+    def restore(self, saved: dict) -> None:
+        """Adopt saved decision state; rebuild what derives from it."""
+        for name in DECISION_STATE:
+            setattr(self, name, saved[name])
+        self.pending_dimms = {entry[0] for entry in self.pending}
+        self.state_configs = {
+            code: self.configs.get(state.dimm_id)
+            for code, state in self.states.items()
+        }
 
     def fallbacks(self) -> int:
         return self.retired_fallbacks + sum(
@@ -202,7 +226,15 @@ class FleetReport:
 
 
 class FleetReplayEngine:
-    """Single-pass streaming scorer over a merged heterogeneous fleet."""
+    """Single-pass streaming scorer over a merged heterogeneous fleet.
+
+    Both walks keep their sequential decision state in one place: the
+    ``DECISION_STATE`` fields of each platform runtime, plus ``policy``
+    and ``score_logs``.  :meth:`_save` and :meth:`_resume` are the one
+    checkpoint save and resume both walks call.  A checkpoint holds no
+    feature extractor, pipeline or bus: a resumed walk serves through
+    extractors built from the assignments' own pipelines.
+    """
 
     def __init__(
         self,
@@ -316,6 +348,58 @@ class FleetReplayEngine:
         runtime.dimm_name = columns.dimms.name
         runtime.server_name = columns.servers.name
         return runtime
+
+    def _live_objects(self, runtimes) -> dict:
+        """Objects the walk state points at but a checkpoint never holds.
+
+        The bus carries unpicklable handler closures and each extractor
+        (with its fitted pipeline) is rebuilt from the assignment, so the
+        state pickle stores them as these keys and a resume re-binds the
+        keys to this engine's own bus and extractors.
+        """
+        live = {"bus": self.bus}
+        for rt in runtimes:
+            live["extractor:" + rt.assignment.platform] = rt.extractor
+        return live
+
+    def _save(self, runtimes: list[_PlatformRuntime]) -> dict:
+        """The checkpoint state of a walk: one pickle, both engines.
+
+        One pickle covers every runtime's decision state, the policy and
+        the score logs, so shared references (window states, incidents,
+        policy actions) survive the round trip.
+        """
+        live = self._live_objects(runtimes)
+        keys = {id(obj): key for key, obj in live.items()}
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: keys.get(id(obj))
+        pickler.dump({
+            "runtimes": {
+                rt.assignment.platform: rt.decision_state() for rt in runtimes
+            },
+            "policy": self.policy,
+            "score_logs": self.score_logs,
+        })
+        return {"state": buf.getvalue(), "bus_counts": self.bus.counts()}
+
+    def _resume(
+        self,
+        runtimes: list[_PlatformRuntime],
+        ckpt: ReplayCheckpointer | None,
+    ) -> int:
+        """Restore a checkpoint's state (if resuming); entries to skip."""
+        if ckpt is None or ckpt.resume_state is None:
+            return 0
+        unpickler = pickle.Unpickler(io.BytesIO(ckpt.resume_state["state"]))
+        unpickler.persistent_load = self._live_objects(runtimes).__getitem__
+        state = unpickler.load()
+        for rt in runtimes:
+            rt.restore(state["runtimes"][rt.assignment.platform])
+        self.policy = state["policy"]
+        self.score_logs = state["score_logs"]
+        self.bus.restore_counts(ckpt.resume_state["bus_counts"])
+        return ckpt.position
 
     def replay(
         self,
@@ -450,33 +534,10 @@ class FleetReplayEngine:
         feature_seconds = 0.0
         alarm_seconds = 0.0
 
-        walk_tags, walk_plats, walk_rows = (
-            stream.tags, stream.plats, stream.rows
-        )
-        if ckpt is not None and ckpt.resume_state is not None:
-            snap = pickle.loads(ckpt.resume_state["state"])
-            for i, rt in enumerate(runtimes):
-                rt.extractor = snap["extractors"][i]
-                rt.alarms = snap["alarms"][i]
-                rt.alarms.bus = self.bus
-                rt.states = snap["states"][i]
-                rt.state_configs = snap["state_configs"][i]
-                rt.last_scored = snap["last_scored"][i]
-                rt.scored_dimms = snap["scored_dimms"][i]
-                rt.pending = snap["pending"][i]
-                rt.pending_dimms = {entry[0] for entry in rt.pending}
-                rt.retired_fallbacks = snap["retired_fallbacks"][i]
-                rt.retired_rebuilds = snap["retired_rebuilds"][i]
-                rt.scored = snap["scored"][i]
-                rt.batches = snap["batches"][i]
-                rt.predicted = snap["predicted"][i]
-                rt.parity_checked, rt.parity_mismatches = snap["parity"][i]
-            self.policy = snap["policy"]
-            self.score_logs = snap["score_logs"]
-            self.bus.restore_counts(ckpt.resume_state["bus_counts"])
-            walk_tags = walk_tags[ckpt.position:]
-            walk_plats = walk_plats[ckpt.position:]
-            walk_rows = walk_rows[ckpt.position:]
+        done = self._resume(runtimes, ckpt)
+        walk_tags = stream.tags[done:]
+        walk_plats = stream.plats[done:]
+        walk_rows = stream.rows[done:]
 
         # The hot loop switches platforms on every event, so per-platform
         # state is hoisted into parallel lists indexed by the stream's
@@ -496,45 +557,7 @@ class FleetReplayEngine:
         dimm_name_by = [rt.dimm_name for rt in runtimes]
         server_name_by = [rt.server_name for rt in runtimes]
         flush = self._flush
-
-        def snapshot() -> dict:
-            # Kernel-free path: every mutable decision structure goes into
-            # ONE inner pickle so shared references survive; the bus
-            # (unpicklable handler closures) is detached for the dump.
-            for rt in runtimes:
-                rt.alarms.bus = None
-            try:
-                blob = pickle.dumps(
-                    {
-                        "extractors": [rt.extractor for rt in runtimes],
-                        "alarms": [rt.alarms for rt in runtimes],
-                        "states": states_by,
-                        "state_configs": state_configs_by,
-                        "last_scored": last_scored_by,
-                        "scored_dimms": scored_dimms_by,
-                        "pending": pending_by,
-                        "retired_fallbacks": [
-                            rt.retired_fallbacks for rt in runtimes
-                        ],
-                        "retired_rebuilds": [
-                            rt.retired_rebuilds for rt in runtimes
-                        ],
-                        "scored": [rt.scored for rt in runtimes],
-                        "batches": [rt.batches for rt in runtimes],
-                        "predicted": [rt.predicted for rt in runtimes],
-                        "parity": [
-                            (rt.parity_checked, rt.parity_mismatches)
-                            for rt in runtimes
-                        ],
-                        "policy": self.policy,
-                        "score_logs": self.score_logs,
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            finally:
-                for rt in runtimes:
-                    rt.alarms.bus = self.bus
-            return {"state": blob, "bus_counts": self.bus.counts()}
+        snapshot = partial(self._save, runtimes)
 
         hb = self.heartbeat_every if self.obs is not None else 0
         hb_total = stream.events
@@ -726,70 +749,22 @@ class FleetReplayEngine:
         sel = {k: np.concatenate(v) for k, v in parts.items()}
         order = np.lexsort((sel["plat"], sel["tag"], sel["t"]))
 
+        # Resuming after the up-front pass overwrites its counters with the
+        # same figures: the halted run scored the same candidates.
+        order = order[self._resume(runtimes, ckpt):]
+        policy = self.policy
+        # Pure caches of ``alarms.open_until`` and ``dimm_name``: the calls
+        # they elide have no side effects, so a resumed walk starts them
+        # empty.
         blocked_until_by: list[dict] = [{} for _ in runtimes]
         dimm_cache_by: list[dict] = [{} for _ in runtimes]
-        served_fallbacks = [0] * len(runtimes)
-        if ckpt is not None and ckpt.resume_state is not None:
-            snap = pickle.loads(ckpt.resume_state["state"])
-            for i, rt in enumerate(runtimes):
-                rt.alarms = snap["alarms"][i]
-                rt.alarms.bus = self.bus
-                rt.last_scored = snap["last_scored"][i]
-                rt.scored_dimms = snap["scored_dimms"][i]
-                rt.pending = snap["pending"][i]
-                rt.pending_dimms = {entry[0] for entry in rt.pending}
-                rt.scored = snap["scored"][i]
-                rt.batches = snap["batches"][i]
-                # Overwrites the up-front pass's counts with the same
-                # figures: the halted run scored the same candidates.
-                rt.predicted = snap["predicted"][i]
-                rt.parity_checked, rt.parity_mismatches = snap["parity"][i]
-            self.policy = policy = snap["policy"]
-            self.score_logs = snap["score_logs"]
-            blocked_until_by = snap["blocked_until"]
-            dimm_cache_by = snap["dimm_cache"]
-            served_fallbacks = snap["served_fallbacks"]
-            self.bus.restore_counts(ckpt.resume_state["bus_counts"])
-            order = order[ckpt.position:]
         alarms_by = [rt.alarms for rt in runtimes]
-        fast_alarms = [type(a) is AlarmManager for a in alarms_by]
         last_scored_by = [rt.last_scored for rt in runtimes]
         scored_dimms_by = [rt.scored_dimms for rt in runtimes]
         pending_by = [rt.pending for rt in runtimes]
         pending_dimms_by = [rt.pending_dimms for rt in runtimes]
         dimm_name_by = [rt.dimm_name for rt in runtimes]
-
-        def snapshot() -> dict:
-            # The kernels and merged order are deterministic functions of
-            # the stores — only the sequential decision state is persisted.
-            for a in alarms_by:
-                a.bus = None
-            try:
-                blob = pickle.dumps(
-                    {
-                        "alarms": alarms_by,
-                        "last_scored": last_scored_by,
-                        "scored_dimms": scored_dimms_by,
-                        "pending": pending_by,
-                        "blocked_until": blocked_until_by,
-                        "dimm_cache": dimm_cache_by,
-                        "served_fallbacks": served_fallbacks,
-                        "scored": [rt.scored for rt in runtimes],
-                        "batches": [rt.batches for rt in runtimes],
-                        "predicted": [rt.predicted for rt in runtimes],
-                        "parity": [
-                            (rt.parity_checked, rt.parity_mismatches)
-                            for rt in runtimes
-                        ],
-                        "policy": self.policy,
-                        "score_logs": self.score_logs,
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            finally:
-                for a in alarms_by:
-                    a.bus = self.bus
-            return {"state": blob, "bus_counts": self.bus.counts()}
+        snapshot = partial(self._save, runtimes)
 
         iters = zip(
             sel["tag"][order].tolist(),
@@ -830,11 +805,10 @@ class FleetReplayEngine:
                     )
                 alarms = alarms_by[p]
                 if alarms.blocked(dimm_id, t):
-                    if fast_alarms[p]:
-                        blocked_until[code] = alarms.open_until(dimm_id)
+                    blocked_until[code] = alarms.open_until(dimm_id)
                     continue
                 if fallback_by[p][index]:
-                    served_fallbacks[p] += 1
+                    runtimes[p].retired_fallbacks += 1
                 if rescore > 0:
                     last_scored_by[p][code] = t
                 scored_dimms_by[p].add(code)
@@ -868,8 +842,6 @@ class FleetReplayEngine:
                 self._flush_batched(rt, kernel, scores, report)
         report.seconds = time.perf_counter() - start
         report.stage_seconds["alarms"] += alarm_seconds
-        for rt, count in zip(runtimes, served_fallbacks):
-            rt.retired_fallbacks = count
         return False
 
     def _buffer(

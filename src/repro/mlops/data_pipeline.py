@@ -16,7 +16,8 @@ from typing import Any, Callable
 
 import networkx as nx
 
-from repro.telemetry.log_store import LogStore, read_jsonl_payloads
+from repro.telemetry.columnar import TelemetryColumns
+from repro.telemetry.log_store import LogStore
 from repro.telemetry.records import record_from_dict
 
 
@@ -114,12 +115,33 @@ class DataLake:
         return path
 
     def read_partition(self, source: str) -> list:
+        """One partition's records in write order.
+
+        A line the store cannot hold (broken JSON, a non-object, a missing
+        or mistyped field) raises ``ValueError`` naming the file and line.
+        """
         path = self.root / f"{source}.jsonl"
         if not path.exists():
             return []
-        return [
-            record_from_dict(payload) for payload in read_jsonl_payloads(path)
-        ]
+        # Typed exactly as LogStore ingestion will hold each record.
+        check = TelemetryColumns().encode_payload
+        records = []
+        with path.open("r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    payload = json.loads(line)
+                    if type(payload) is not dict:
+                        raise ValueError("not a JSON object")
+                    records.append(record_from_dict(payload))
+                    if payload["record_type"] != "config":
+                        check(payload)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"malformed record at {path}:{number}: {exc}"
+                    ) from exc
+        return records
 
     def as_log_store(self, sources: tuple[str, ...] | None = None) -> LogStore:
         store = LogStore()

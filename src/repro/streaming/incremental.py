@@ -169,6 +169,14 @@ class IncrementalWindowState:
     def __len__(self) -> int:
         return len(self.times)
 
+    def __getstate__(self) -> dict:
+        # ``_env_times`` is the extractor's cached list of fitted server
+        # times: an unpickled state resolves it again, it is never stored.
+        state = self.__dict__.copy()
+        state["_env_times"] = None
+        state["_env_resolved"] = False
+        return state
+
     # -- ingestion ---------------------------------------------------------
 
     def add_ce(self, t: float, dq_count, beat_count, dq_interval,

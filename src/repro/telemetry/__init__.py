@@ -7,7 +7,7 @@ from repro.telemetry.columnar import (
     TelemetryColumns,
     segmented_searchsorted,
 )
-from repro.telemetry.log_store import LogStore, iter_stream, read_jsonl_payloads
+from repro.telemetry.log_store import LogStore, iter_stream
 from repro.telemetry.mce import McaSignal, decode_mce, encode_mce
 from repro.telemetry.records import (
     CERecord,
@@ -34,7 +34,6 @@ __all__ = [
     "decode_mce",
     "encode_mce",
     "iter_stream",
-    "read_jsonl_payloads",
     "record_from_dict",
     "segmented_searchsorted",
 ]

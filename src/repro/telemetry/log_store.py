@@ -214,9 +214,7 @@ class LogStore:
         gc.disable()
         try:
             with Path(path).open("r", encoding="utf-8") as handle:
-                for payloads in _iter_payload_chunks(
-                    handle, chunk_lines, tolerant=True
-                ):
+                for payloads in _iter_payload_chunks(handle, chunk_lines):
                     for payload in payloads:
                         if type(payload) is not dict:  # broken JSON is None
                             skipped += 1
@@ -256,13 +254,11 @@ class LogStore:
         return len(columns.ces) + len(columns.ues) + len(columns.events)
 
 
-def _iter_payload_chunks(handle, chunk_lines: int, tolerant: bool = False):
+def _iter_payload_chunks(handle, chunk_lines: int):
     """Yield payload lists, one C-level JSON parse per line chunk.
 
-    When ``tolerant``, a chunk whose joined parse fails is re-parsed line
-    by line and each broken line yields a ``None`` payload instead of
-    aborting the whole load; otherwise the JSON error propagates (the
-    strict behaviour ``read_jsonl_payloads`` keeps).
+    A chunk whose joined parse fails is re-parsed line by line, and each
+    broken line yields a ``None`` payload instead of aborting the load.
     """
     while True:
         chunk = list(itertools.islice(handle, chunk_lines))
@@ -274,8 +270,6 @@ def _iter_payload_chunks(handle, chunk_lines: int, tolerant: bool = False):
         try:
             yield json.loads("[" + body + "]")
         except json.JSONDecodeError:
-            if not tolerant:
-                raise
             yield [_parse_or_none(line) for line in chunk if line.strip()]
 
 
@@ -284,15 +278,6 @@ def _parse_or_none(line: str):
         return json.loads(line)
     except json.JSONDecodeError:
         return None
-
-
-def read_jsonl_payloads(path: str | Path, chunk_lines: int = 4096) -> list[dict]:
-    """Parse a JSONL file into payload dicts (chunked ``json.loads`` calls)."""
-    payloads: list[dict] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for chunk in _iter_payload_chunks(handle, chunk_lines):
-            payloads.extend(chunk)
-    return payloads
 
 
 def iter_stream(store: LogStore) -> Iterator:

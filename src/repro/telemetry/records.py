@@ -12,10 +12,15 @@ and calibration only; the feature pipeline never reads it.
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from repro.dram.errorbits import BusErrorPattern
+
+
+def _to_dict(record) -> dict[str, Any]:
+    """``dataclasses.asdict`` without its deep copy (fields are flat)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _from_dict(cls, payload: dict[str, Any], **convert):
@@ -69,7 +74,7 @@ class CERecord:
         return len(self.devices) > 1
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
+        payload = _to_dict(self)
         payload["devices"] = list(self.devices)
         payload["record_type"] = "ce"
         return payload
@@ -134,7 +139,7 @@ class UERecord:
     fault_id: int = -1
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
+        payload = _to_dict(self)
         payload["devices"] = list(self.devices)
         payload["record_type"] = "ue"
         return payload
@@ -184,7 +189,7 @@ class DimmConfigRecord:
     chip_process: str
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
+        payload = _to_dict(self)
         payload["record_type"] = "config"
         return payload
 

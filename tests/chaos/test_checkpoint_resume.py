@@ -134,6 +134,46 @@ class TestCheckpointer:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(bad)
 
+    def test_version_one_layout_is_refused(self, tmp_path, purley):
+        """A version-1 checkpoint (per-field lists, pickled extractors)
+        fails with the typed version error before any state is read."""
+        import pickle
+
+        from repro.chaos.checkpoint import save_checkpoint
+        from repro.streaming.alarms import AlarmManager
+        from repro.streaming.incremental import IncrementalFeatureExtractor
+
+        simulation, pipeline = purley
+        path = tmp_path / "v1.pkl"
+        state = {
+            "extractors": [IncrementalFeatureExtractor(pipeline)],
+            "alarms": [AlarmManager(3.0, 720.0)],
+            "states": [{}],
+            "state_configs": [{}],
+            "last_scored": [{}],
+            "scored_dimms": [set()],
+            "pending": [[]],
+            "retired_fallbacks": [0],
+            "retired_rebuilds": [0],
+            "scored": [0],
+            "batches": [0],
+            "predicted": [0],
+            "parity": [(0, 0)],
+            "policy": None,
+            "score_logs": {},
+        }
+        save_checkpoint(path, {
+            "version": 1,
+            "kind": "fleet",
+            "engine": "per_event",
+            "position": 60,
+            "state": pickle.dumps(state),
+            "bus_counts": {},
+        })
+        engine = _engine(simulation, pipeline, engine="per_event")
+        with pytest.raises(ValueError, match="version=1"):
+            engine.replay(simulation.store, resume_from=path)
+
 
 class TestReplayResume:
     """Kill at an arbitrary point; the resumed run matches the clean run."""
@@ -283,3 +323,41 @@ class TestFleetResume:
         assert resumed.fleet_cost == full.fleet_cost
         assert resumed.actions == full.actions
         assert resumed.bus_counts == full.bus_counts
+
+    def test_checkpoint_holds_decision_state_only(self, tmp_path, tiny_study):
+        """A per_event checkpoint stores no extractor and no pipeline; the
+        resumed walk serves through the caller's pipeline."""
+        import io
+        import pickle
+
+        class _Classes(pickle.Unpickler):
+            def __init__(self, blob):
+                super().__init__(io.BytesIO(blob))
+                self.names = set()
+
+            def find_class(self, module, name):
+                self.names.add(name)
+                return super().find_class(module, name)
+
+            def persistent_load(self, key):
+                return key
+
+        assignments, stores = self._parts(tiny_study)
+        path = tmp_path / "fleet.pkl"
+        self._run(assignments, stores, "per_event",
+                  checkpoint_path=path, halt_after=400)
+        reader = _Classes(load_checkpoint(path)["state"])
+        reader.load()
+        assert "IncrementalWindowState" in reader.names
+        assert "FeaturePipeline" not in reader.names
+        assert "IncrementalFeatureExtractor" not in reader.names
+
+        resumed, _ = self._run(
+            assignments, stores, "per_event", resume_from=path
+        )
+        for platform, rt in resumed.runtimes.items():
+            assert rt.extractor.pipeline is assignments[platform].pipeline
+            assert rt.states
+            assert all(
+                state._x is rt.extractor for state in rt.states.values()
+            )

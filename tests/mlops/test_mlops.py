@@ -78,6 +78,22 @@ class TestDataPipeline:
         store = lake.as_log_store()
         assert len(store.ces) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda line: "7",
+        lambda line: line.replace('"dq_count": 1', '"dq_count": "3"'),
+        lambda line: line[: len(line) // 2],
+    ], ids=["non-object", "mistyped-field", "broken-json"])
+    def test_data_lake_rejects_malformed_line(self, tmp_path, edit):
+        lake = DataLake(tmp_path / "lake")
+        path = lake.write_partition("bmc", [ce(1.0)])
+        line = path.read_text().strip()
+        edited = edit(line)
+        assert edited != line
+        path.write_text(edited + "\n")
+        for read in (lambda: lake.read_partition("bmc"), lake.as_log_store):
+            with pytest.raises(ValueError, match="bmc.jsonl"):
+                read()
+
 
 class TestFeatureStoreAndRegistry:
     def test_registry_rejects_downgrade(self):

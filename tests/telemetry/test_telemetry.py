@@ -75,6 +75,26 @@ class TestRecords:
         )
         assert record_from_dict(config.to_dict()) == config
 
+    def test_to_dict_serializes_like_asdict(self):
+        """The shallow ``to_dict`` writes the same JSON, key order
+        included, as ``dataclasses.asdict`` plus the record type."""
+        from dataclasses import asdict
+
+        config = DimmConfigRecord(
+            "d0", "s0", "intel_purley", "A", "p/n", 32, 4, 2666, "1y"
+        )
+        cases = [
+            (make_ce(devices=(1, 5, 9)), "ce"),
+            (make_ue(sudden=True), "ue"),
+            (config, "config"),
+        ]
+        for record, record_type in cases:
+            expected = asdict(record)
+            if "devices" in expected:
+                expected["devices"] = list(record.devices)
+            expected["record_type"] = record_type
+            assert json.dumps(record.to_dict()) == json.dumps(expected)
+
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ValueError):
             record_from_dict({"record_type": "mystery"})
