@@ -209,22 +209,32 @@ class AsyncScoringService:
         return alarm
 
     async def _batch_loop(self) -> None:
+        """Cut micro-batches off the queue until the stop sentinel.
+
+        Queued requests are taken without waiting; only an empty queue
+        waits (until ``max_wait_s`` after the batch's first request), so
+        a full queue costs no task or timer per request.
+        """
         queue = self._queue
+        loop = asyncio.get_running_loop()
         stopping = False
         while not stopping:
             item = await queue.get()
             if item is _STOP:
                 break
             batch = [item]
-            deadline = asyncio.get_running_loop().time() + self.max_wait_s
+            deadline = loop.time() + self.max_wait_s
             while len(batch) < self.max_batch:
-                timeout = deadline - asyncio.get_running_loop().time()
-                if timeout <= 0:
-                    break
                 try:
-                    nxt = await asyncio.wait_for(queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
+                    nxt = queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    timeout = deadline - loop.time()
+                    if timeout <= 0:
+                        break
+                    try:
+                        nxt = await asyncio.wait_for(queue.get(), timeout)
+                    except asyncio.TimeoutError:
+                        break
                 if nxt is _STOP:
                     stopping = True
                     break

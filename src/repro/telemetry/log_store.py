@@ -187,50 +187,57 @@ class LogStore:
         chunk_lines: int = 4096,
         metrics=None,
     ) -> "LogStore":
-        """Bulk load: chunked JSON parses straight into column rows.
+        """Bulk load: chunked JSON parses straight into the column tables.
 
         Joining ``chunk_lines`` lines into one JSON array trades that many
         small ``json.loads`` calls for one C-level parse while keeping the
-        set of live payload dicts bounded.  Each payload is typed and
-        encoded into a column row (no record object per line), and each
-        kind's rows land in its table in one copy.  Cyclic GC is
-        suspended for the duration: scanning a large live heap on every
-        allocation threshold dominates load time in long-running processes.
+        set of live payload dicts bounded.  A chunk whose joined parse
+        fails, or yields a different number of values than it has
+        non-blank lines (a line holding two comma-separated values), is
+        re-parsed line by line.  Each chunk's CE payloads are then checked
+        and encoded a column at a time and land in the CE table as one
+        block (:meth:`TelemetryColumns.extend_payloads`); UEs, events and
+        configs are typed one by one.  A chunk with any CE that fails a
+        column check is re-encoded payload by payload with
+        :meth:`TelemetryColumns.encode_payload`, the one reference, so
+        the tables, vocabularies and ``skipped_lines`` are exactly what
+        encoding every line on its own gives.  Cyclic GC is suspended for
+        the duration: scanning a large live heap on every allocation
+        threshold dominates load time in long-running processes.
 
         Malformed lines are skipped, counted on the returned store's
         ``skipped_lines`` and surfaced in one warning: broken JSON, a
-        non-object line, an unknown ``record_type``, a missing field or a
+        non-object line, an unknown ``record_type``, a missing field, a
         field of the wrong JSON type (``"dq_count": "3"``, ``"dimm_id":
-        7``, ...).  A torn tail line from a crashed writer must not make a
-        whole campaign unloadable.  ``metrics`` (a
+        7``, a config's ``"capacity_gb": "32"``, ...) or a value the
+        columns cannot hold.  A torn tail line from a crashed writer must
+        not make a whole campaign unloadable.  ``metrics`` (a
         :class:`repro.obs.MetricsRegistry`) additionally exposes the count
         as ``repro_logstore_skipped_lines_total{source=<file name>}``.
         """
         store = cls()
-        encode = store.columns.encode_payload
-        rows: dict[str, list] = {kind: [] for kind in DIMM_COLUMNS}
         skipped = 0
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             with Path(path).open("r", encoding="utf-8") as handle:
                 for payloads in _iter_payload_chunks(handle, chunk_lines):
-                    for payload in payloads:
-                        if type(payload) is not dict:  # broken JSON is None
-                            skipped += 1
-                            continue
-                        try:
-                            if payload["record_type"] == "config":
-                                store.add_config(
-                                    DimmConfigRecord.from_dict(payload)
-                                )
-                                continue
-                            kind, row = encode(payload)
-                        except (KeyError, ValueError):
-                            skipped += 1
-                            continue
-                        rows[kind].append(row)
-            store.columns.extend_rows(rows)
+                    # Broken JSON is a None payload.
+                    records = [p for p in payloads if type(p) is dict]
+                    skipped += len(payloads) - len(records)
+                    kinds = list(
+                        map(dict.get, records, itertools.repeat("record_type"))
+                    )
+                    if "config" in kinds:
+                        configs = [k == "config" for k in kinds]
+                        skipped += store._add_config_payloads(
+                            list(itertools.compress(records, configs))
+                        )
+                        records = [
+                            p for p, config in zip(records, configs)
+                            if not config
+                        ]
+                    skipped += store.columns.extend_payloads(records)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -249,6 +256,16 @@ class LogStore:
             )
         return store
 
+    def _add_config_payloads(self, payloads: list[dict]) -> int:
+        """Add config payloads in order; return how many were malformed."""
+        skipped = 0
+        for payload in payloads:
+            try:
+                self.add_config(DimmConfigRecord.from_dict(payload))
+            except (KeyError, ValueError):
+                skipped += 1
+        return skipped
+
     def __len__(self) -> int:
         columns = self.columns
         return len(columns.ces) + len(columns.ues) + len(columns.events)
@@ -257,26 +274,30 @@ class LogStore:
 def _iter_payload_chunks(handle, chunk_lines: int):
     """Yield payload lists, one C-level JSON parse per line chunk.
 
-    A chunk whose joined parse fails is re-parsed line by line, and each
-    broken line yields a ``None`` payload instead of aborting the load.
+    A chunk whose joined parse fails, or does not give one value per
+    non-blank line, is re-parsed line by line, and each broken line yields
+    a ``None`` payload instead of aborting the load.
     """
     while True:
         chunk = list(itertools.islice(handle, chunk_lines))
         if not chunk:
             return
-        body = ",".join(line for line in chunk if line.strip())
-        if not body:
+        lines = list(filter(str.strip, chunk))
+        if not lines:
             continue
         try:
-            yield json.loads("[" + body + "]")
-        except json.JSONDecodeError:
-            yield [_parse_or_none(line) for line in chunk if line.strip()]
+            payloads = json.loads("[" + ",".join(lines) + "]")
+        except ValueError:  # broken JSON, an integer of too many digits
+            payloads = None
+        if payloads is None or len(payloads) != len(lines):
+            payloads = [_parse_or_none(line) for line in lines]
+        yield payloads
 
 
 def _parse_or_none(line: str):
     try:
         return json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:
         return None
 
 

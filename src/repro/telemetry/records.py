@@ -12,6 +12,7 @@ and calibration only; the feature pipeline never reads it.
 from __future__ import annotations
 
 import enum
+import typing
 from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
@@ -195,7 +196,20 @@ class DimmConfigRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "DimmConfigRecord":
+        """Raises ``KeyError`` for a missing field and ``ValueError`` for a
+        field that is not exactly its declared type (``str`` or ``int``;
+        ``"capacity_gb": "32"``, ``"dimm_id": 7``, ...)."""
+        for name, kind in _CONFIG_TYPES.items():
+            if type(payload[name]) is not kind:
+                raise ValueError(
+                    f"config field {name}={payload[name]!r} is not "
+                    f"{kind.__name__}"
+                )
         return _from_dict(cls, payload)
+
+
+#: ``DimmConfigRecord``'s fields and their exact types.
+_CONFIG_TYPES = typing.get_type_hints(DimmConfigRecord)
 
 
 RECORD_TYPES = {

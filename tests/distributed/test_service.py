@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,44 @@ class TestObserveEquivalence:
             int(size) * count
             for size, count in slo["batch_histogram"].items()
         ) == slo["scored"]
+
+    def test_closed_loop_of_max_batch_submitters_fills_every_batch(self):
+        """``max_batch`` clients that each await an answer before sending
+        the next record: every batch but the last is full, and the alarms
+        are serial ``observe()``'s."""
+        records = make_records(n_per_dimm=30)
+        sync_service = make_service(threshold=0.99)
+        sync_alarms = [
+            alarm
+            for alarm in (sync_service.observe(r) for r in records)
+            if alarm is not None
+        ]
+        max_batch = 8
+        async_service = AsyncScoringService(
+            make_service(threshold=0.99), max_batch=max_batch, max_wait_ms=20.0
+        )
+        alarms = []
+
+        async def closed_loop():
+            pending = iter(records)
+
+            async def client():
+                for record in pending:
+                    alarm = await async_service.submit(record)
+                    if alarm is not None:
+                        alarms.append(alarm)
+
+            await async_service.start()
+            await asyncio.gather(*(client() for _ in range(max_batch)))
+            await async_service.stop()
+
+        asyncio.run(closed_loop())
+        sizes = async_service.stats.batch_sizes
+        assert len(sizes) > 10
+        assert sizes[:-1] == [max_batch] * (len(sizes) - 1)
+        assert sum(sizes) == async_service.stats.scored
+        assert sync_alarms and alarm_keys(alarms) == alarm_keys(sync_alarms)
+        assert async_service.stats.submitted == len(records)
 
     def test_slo_summary_shape(self):
         records = make_records()

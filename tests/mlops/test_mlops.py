@@ -24,7 +24,7 @@ from repro.mlops.monitoring import (
 )
 from repro.mlops.serving import Alarm, AlarmSystem
 from repro.features.pipeline import FeaturePipeline
-from repro.telemetry.records import CERecord
+from repro.telemetry.records import CERecord, DimmConfigRecord
 
 
 def ce(t, dimm="d0", row=1):
@@ -93,6 +93,19 @@ class TestDataPipeline:
         for read in (lambda: lake.read_partition("bmc"), lake.as_log_store):
             with pytest.raises(ValueError, match="bmc.jsonl"):
                 read()
+
+
+    def test_data_lake_rejects_mistyped_config(self, tmp_path):
+        lake = DataLake(tmp_path / "lake")
+        config = DimmConfigRecord(
+            "d0", "s0", "p", "A", "pn", 32, 4, 2666, "1y"
+        )
+        path = lake.write_partition("inventory", [config])
+        path.write_text(path.read_text().replace(
+            '"capacity_gb": 32', '"capacity_gb": "32"'
+        ))
+        with pytest.raises(ValueError, match="inventory.jsonl"):
+            lake.read_partition("inventory")
 
 
 class TestFeatureStoreAndRegistry:

@@ -219,17 +219,20 @@ class TestLogStore:
             "[1, 2]",
             '"x"',
             "null",
+            '{"record_type": "ce", "row": ' + "9" * 5000 + "}",
             {"timestamp_hours": "abc"},
             {"dq_count": "3"},
             {"rank": "x"},
             {"dimm_id": 7},
             {"devices": [2.0]},
             {"rank": True},
+            {"timestamp_hours": 10**400},
         ],
         ids=[
-            "int", "list", "string", "null", "timestamp-str",
+            "int", "list", "string", "null", "int-too-many-digits",
+            "timestamp-str",
             "dq_count-str", "rank-str", "dimm_id-int", "device-float",
-            "rank-bool",
+            "rank-bool", "timestamp-beyond-float",
         ],
     )
     def test_load_jsonl_skips_mistyped_lines(self, tmp_path, bad_line):
@@ -260,6 +263,45 @@ class TestLogStore:
         assert loaded.ces == [make_ce(t=1.0, row=1), make_ce(t=3.0, row=3)]
         assert loaded.columns.dimms.names() == ["d0"]
         assert loaded.columns.servers.names() == ["s0"]
+
+    def test_load_jsonl_line_with_two_values_is_one_skipped_line(
+        self, tmp_path
+    ):
+        """Each line is one record: a line holding two comma-separated
+        values is broken JSON on its own, even though the chunk's joined
+        array parses."""
+        ce_line = json.dumps(make_ce().to_dict())
+        path = tmp_path / "two.jsonl"
+        path.write_text(f"{ce_line}, {ce_line}\n1, 2\n")
+        for chunk_lines in (1, 4096):
+            with pytest.warns(RuntimeWarning, match="skipped 2 malformed"):
+                loaded = LogStore.load_jsonl(path, chunk_lines=chunk_lines)
+            assert loaded.skipped_lines == 2
+            assert len(loaded) == 0
+            assert loaded.columns.dimms.names() == []
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"dimm_id": ["x"]}, {"capacity_gb": "32"}, {"dimm_id": 7}],
+        ids=["dimm_id-list", "capacity_gb-str", "dimm_id-int"],
+    )
+    def test_load_jsonl_skips_mistyped_config_lines(self, tmp_path, overrides):
+        good = DimmConfigRecord(
+            "d0", "s0", "p", "A", "pn", 32, 4, 2666, "1y"
+        )
+        bad = {**good.to_dict(), "dimm_id": "d1", **overrides}
+        path = tmp_path / "configs.jsonl"
+        path.write_text(
+            json.dumps(good.to_dict()) + "\n" + json.dumps(bad) + "\n"
+            + json.dumps(make_ce().to_dict()) + "\n"
+        )
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed"):
+            loaded = LogStore.load_jsonl(path)
+        assert loaded.skipped_lines == 1
+        assert loaded.configs == {"d0": good}
+        assert loaded.ces == [make_ce()]
+        with pytest.raises(ValueError, match="is not"):
+            DimmConfigRecord.from_dict(bad)
 
     @pytest.mark.parametrize(
         "overrides",
