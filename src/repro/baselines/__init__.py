@@ -1,6 +1,6 @@
 """Baselines: the SC'22 risky-CE-pattern rules and naive heuristics."""
 
-from repro.baselines.heuristics import AlwaysNegativeModel, CeCountThresholdModel
+from repro.baselines.heuristics import CeCountThresholdModel
 from repro.baselines.risky_ce import (
     RULE_FEATURES,
     RiskyCeParams,
@@ -8,7 +8,6 @@ from repro.baselines.risky_ce import (
 )
 
 __all__ = [
-    "AlwaysNegativeModel",
     "CeCountThresholdModel",
     "RULE_FEATURES",
     "RiskyCeParams",

@@ -47,18 +47,3 @@ class CeCountThresholdModel:
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
-
-
-class AlwaysNegativeModel:
-    """Predicts no failures; the no-prediction operating point (VIRR = 0)."""
-
-    name = "always_negative"
-
-    def fit(self, X, y, eval_set: tuple | None = None) -> "AlwaysNegativeModel":
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        return np.zeros(np.asarray(X).shape[0])
-
-    def predict(self, X, threshold: float = 0.5) -> np.ndarray:
-        return np.zeros(np.asarray(X).shape[0], dtype=int)

@@ -1,10 +1,6 @@
 """DRAM organization substrate: geometry, error bitmaps, faults and specs."""
 
-from repro.dram.errorbits import (
-    BusErrorPattern,
-    DeviceErrorBitmap,
-    merge_device_bitmaps,
-)
+from repro.dram.errorbits import BusErrorPattern, DeviceErrorBitmap
 from repro.dram.faults import BitPatternProfile, Fault, FaultMode
 from repro.dram.geometry import (
     BURST_LENGTH,
@@ -15,14 +11,12 @@ from repro.dram.geometry import (
     X4_DEVICES_PER_RANK,
     CellAddress,
     DimmGeometry,
-    iter_bank_ids,
 )
 from repro.dram.spec import (
     SUPPORTED_FREQUENCIES_MTS,
     ChipProcess,
     DimmSpec,
     Manufacturer,
-    ServerSpec,
     make_part_number,
 )
 
@@ -43,9 +37,6 @@ __all__ = [
     "Fault",
     "FaultMode",
     "Manufacturer",
-    "ServerSpec",
     "SUPPORTED_FREQUENCIES_MTS",
-    "iter_bank_ids",
     "make_part_number",
-    "merge_device_bitmaps",
 ]

@@ -18,7 +18,7 @@ interval is the span ``max(index) - min(index)`` over erroneous lanes/beats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class DeviceErrorBitmap:
         if len(beats) < 2:
             return 0
         return beats[-1] - beats[0]
-
-    def union(self, other: "DeviceErrorBitmap") -> "DeviceErrorBitmap":
-        return DeviceErrorBitmap.from_positions(self.bits + other.bits)
 
 
 @dataclass(frozen=True)
@@ -200,13 +197,3 @@ class BusErrorPattern:
         if not per_beat:
             return 0
         return max(len(devs) for devs in per_beat.values())
-
-
-def merge_device_bitmaps(
-    bitmaps: Sequence[DeviceErrorBitmap],
-) -> DeviceErrorBitmap:
-    """Union a sequence of per-device bitmaps (e.g. over a DIMM's CE history)."""
-    merged: DeviceErrorBitmap = DeviceErrorBitmap(bits=())
-    for bitmap in bitmaps:
-        merged = merged.union(bitmap)
-    return merged

@@ -14,7 +14,6 @@ The classes here are deliberately free of failure semantics — faults live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 #: Number of beats in one DDR4 burst access (BL8).
 BURST_LENGTH = 8
@@ -140,11 +139,3 @@ class CellAddress:
             and self.device == other.device
             and self.bank == other.bank
         )
-
-
-def iter_bank_ids(geometry: DimmGeometry) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(rank, device, bank)`` triples for every bank on the DIMM."""
-    for rank in range(geometry.ranks):
-        for device in range(geometry.devices_per_rank):
-            for bank in range(geometry.banks):
-                yield rank, device, bank

@@ -63,26 +63,6 @@ class DimmSpec:
         return self.manufacturer.value
 
 
-@dataclass(frozen=True)
-class ServerSpec:
-    """Static description of one server and its populated DIMMs."""
-
-    server_id: str
-    platform_name: str
-    dimms: tuple[DimmSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.dimms:
-            raise ValueError("a server must have at least one DIMM")
-        ids = [dimm.dimm_id for dimm in self.dimms]
-        if len(set(ids)) != len(ids):
-            raise ValueError("DIMM ids within a server must be unique")
-
-    @property
-    def dimm_ids(self) -> tuple[str, ...]:
-        return tuple(dimm.dimm_id for dimm in self.dimms)
-
-
 def make_part_number(
     manufacturer: Manufacturer,
     capacity_gb: int,

@@ -1,10 +1,8 @@
 """From-scratch ML substrate: trees, boosting, transformer, metrics, VIRR."""
 
 from repro.ml.autograd import Tensor, no_grad, parameter, zeros_parameter
-from repro.ml.calibration import PlattCalibrator, expected_calibration_error
 from repro.ml.cost import CostModel
 from repro.ml.model_io import load_forest, load_gbdt, save_forest, save_gbdt
-from repro.ml.search import SearchResult, SearchSpace, random_search_gbdt
 from repro.ml.forest import RandomForestClassifier, RandomForestParams
 from repro.ml.ft_transformer import FtTransformerClassifier, FtTransformerParams
 from repro.ml.gbdt import GbdtClassifier, GbdtParams
@@ -12,17 +10,13 @@ from repro.ml.metrics import (
     ConfusionCounts,
     average_precision,
     confusion,
-    f1_score,
     log_loss,
     precision_recall_curve,
-    precision_score,
-    recall_score,
     roc_auc,
 )
-from repro.ml.optim import SGD, Adam
+from repro.ml.optim import Adam
 from repro.ml.threshold import (
     OperatingPoint,
-    apply_threshold,
     select_threshold,
     sweep_operating_points,
 )
@@ -38,13 +32,8 @@ from repro.ml.virr import (
 __all__ = [
     "Adam",
     "CostModel",
-    "PlattCalibrator",
-    "SearchResult",
-    "SearchSpace",
-    "expected_calibration_error",
     "load_forest",
     "load_gbdt",
-    "random_search_gbdt",
     "save_forest",
     "save_gbdt",
     "Binner",
@@ -58,21 +47,16 @@ __all__ = [
     "OperatingPoint",
     "RandomForestClassifier",
     "RandomForestParams",
-    "SGD",
     "Tensor",
     "TreeParams",
     "VirrBreakdown",
-    "apply_threshold",
     "average_precision",
     "breakeven_precision",
     "confusion",
-    "f1_score",
     "log_loss",
     "no_grad",
     "parameter",
     "precision_recall_curve",
-    "precision_score",
-    "recall_score",
     "roc_auc",
     "select_threshold",
     "sweep_operating_points",

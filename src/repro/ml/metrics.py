@@ -68,18 +68,6 @@ def confusion(y_true, y_pred) -> ConfusionCounts:
     )
 
 
-def precision_score(y_true, y_pred) -> float:
-    return confusion(y_true, y_pred).precision
-
-
-def recall_score(y_true, y_pred) -> float:
-    return confusion(y_true, y_pred).recall
-
-
-def f1_score(y_true, y_pred) -> float:
-    return confusion(y_true, y_pred).f1
-
-
 def precision_recall_curve(
     y_true, y_score
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,8 @@
 """Model persistence.
 
-The model registry needs durable artifacts: trees serialise to plain JSON
-(arrays of node fields), the FT-Transformer and calibrators to ``.npz``
-blobs.  Using open formats (JSON / NumPy) rather than pickle keeps
-artifacts inspectable and safe to load.
+The model registry needs durable artifacts: tree ensembles serialise to
+plain JSON (arrays of node fields).  An open format rather than pickle
+keeps artifacts inspectable and safe to load.
 """
 
 from __future__ import annotations

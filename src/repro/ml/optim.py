@@ -65,24 +65,3 @@ class Adam:
             if self.weight_decay:
                 param.data *= 1.0 - self.lr * self.weight_decay
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class SGD:
-    """Plain SGD with momentum (used in optimiser comparison tests)."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-2, momentum: float = 0.9):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.grad = None
-
-    def step(self) -> None:
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            self._velocity[i] = self.momentum * self._velocity[i] - self.lr * param.grad
-            param.data += self._velocity[i]

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ml.metrics import precision_recall_curve
 from repro.ml.virr import DEFAULT_COLD_FRACTION, virr
 
@@ -81,8 +79,3 @@ def select_threshold(
         near_optimal,
         key=lambda p: (round(abs(p.precision - p.recall), 6), p.threshold),
     )
-
-
-def apply_threshold(y_score, threshold: float) -> np.ndarray:
-    """Binary predictions at a threshold (score >= threshold)."""
-    return (np.asarray(y_score) >= threshold).astype(int)

@@ -29,11 +29,6 @@ from repro.mlops.monitoring import (
     MetricSeries,
     population_stability_index,
 )
-from repro.mlops.retraining import (
-    RetrainingOrchestrator,
-    RetrainingPolicy,
-    RetrainingReport,
-)
 from repro.mlops.serving import Alarm, AlarmSystem, OnlinePredictionService
 
 __all__ = [
@@ -59,9 +54,6 @@ __all__ = [
     "ModelStage",
     "ModelVersion",
     "OnlinePredictionService",
-    "RetrainingOrchestrator",
-    "RetrainingPolicy",
-    "RetrainingReport",
     "StageResult",
     "default_ingestion_pipeline",
     "population_stability_index",

@@ -1,9 +1,10 @@
 """Data pipeline: raw sources -> Data Lake (paper Figure 6, left).
 
-The pipeline is a DAG of named stages (collection, parsing, validation,
-loading) executed in topological order — a single-process realization of
-the paper's DLI-based ingestion.  Stages are plain callables so tests can
-inject failures at any point.
+The pipeline is an ordered chain of named stages (validation,
+deduplication, ordering) run in the order they were added, each feeding
+the next — a single-process realization of the paper's DLI-based
+ingestion.  Stages are plain callables so tests can inject failures at
+any point.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
-
-import networkx as nx
+from typing import Callable
 
 from repro.telemetry.columnar import TelemetryColumns
 from repro.telemetry.log_store import LogStore
@@ -35,41 +34,26 @@ class StageResult:
 
 
 class DataPipeline:
-    """A DAG of ingestion stages feeding the data lake."""
+    """An ordered chain of ingestion stages feeding the data lake."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._stages: dict[str, Callable[[list], list]] = {}
         self.runs: list[list[StageResult]] = []
 
-    def add_stage(
-        self,
-        name: str,
-        func: Callable[[list], list],
-        after: tuple[str, ...] = (),
-    ) -> None:
+    def add_stage(self, name: str, func: Callable[[list], list]) -> None:
+        """Append a stage; it runs on the output of the stage added before it."""
         if name in self._stages:
             raise ValueError(f"duplicate stage {name!r}")
-        for dependency in after:
-            if dependency not in self._stages:
-                raise ValueError(f"unknown dependency {dependency!r}")
         self._stages[name] = func
-        self._graph.add_node(name)
-        for dependency in after:
-            self._graph.add_edge(dependency, name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(name)
-            del self._stages[name]
-            raise ValueError(f"stage {name!r} would create a cycle")
 
     def run(self, records: list) -> tuple[list, list[StageResult]]:
-        """Push records through every stage in topological order."""
+        """Push records through every stage in the order they were added."""
         results: list[StageResult] = []
         current = records
-        for name in nx.topological_sort(self._graph):
+        for name, stage in self._stages.items():
             started = time.perf_counter()
             try:
-                output = self._stages[name](current)
+                output = stage(current)
                 results.append(
                     StageResult(
                         stage=name,
@@ -117,8 +101,9 @@ class DataLake:
     def read_partition(self, source: str) -> list:
         """One partition's records in write order.
 
-        A line the store cannot hold (broken JSON, a non-object, a missing
-        or mistyped field) raises ``ValueError`` naming the file and line.
+        A line the store cannot hold (broken JSON, JSON nested too deeply
+        to parse, a non-object, a missing or mistyped field) raises
+        ``ValueError`` naming the file and line.
         """
         path = self.root / f"{source}.jsonl"
         if not path.exists():
@@ -137,7 +122,7 @@ class DataLake:
                     records.append(record_from_dict(payload))
                     if payload["record_type"] != "config":
                         check(payload)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise ValueError(
                         f"malformed record at {path}:{number}: {exc}"
                     ) from exc
@@ -152,7 +137,7 @@ class DataLake:
 
 
 def default_ingestion_pipeline() -> DataPipeline:
-    """The standard 4-stage pipeline: validate -> dedup -> sort -> load."""
+    """The standard chain: validate -> deduplicate -> sort by time."""
     pipeline = DataPipeline()
 
     def validate(records: list) -> list:
@@ -178,6 +163,6 @@ def default_ingestion_pipeline() -> DataPipeline:
         return sorted(records, key=lambda r: getattr(r, "timestamp_hours", 0.0))
 
     pipeline.add_stage("validate", validate)
-    pipeline.add_stage("deduplicate", deduplicate, after=("validate",))
-    pipeline.add_stage("sort", sort_by_time, after=("deduplicate",))
+    pipeline.add_stage("deduplicate", deduplicate)
+    pipeline.add_stage("sort", sort_by_time)
     return pipeline

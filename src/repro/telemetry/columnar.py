@@ -130,6 +130,17 @@ def _check(ok: bool, values) -> None:
         raise RecordEncodingError(f"record cannot be stored exactly: {values!r}")
 
 
+def _hours(t, values) -> float:
+    """A type-checked timestamp as float64 (an integer beyond float range
+    cannot be stored)."""
+    try:
+        return float(t)
+    except OverflowError:
+        raise RecordEncodingError(
+            f"record cannot be stored exactly: {values!r}"
+        ) from None
+
+
 def _checked_devices(values, t, server, dimm, devices, ints: tuple) -> tuple:
     """Type-check a CE/UE; return ``(count, first device, bitmask)``."""
     _check(type(devices) in (list, tuple), values)
@@ -496,8 +507,8 @@ class TelemetryColumns:
              beat_interval, error_bits, fault),
         )
         return (
-            float(t), dq_count, beat_count, dq_interval, beat_interval,
-            n_devices, error_bits, row, column, bank, device0,
+            _hours(t, values), dq_count, beat_count, dq_interval,
+            beat_interval, n_devices, error_bits, row, column, bank, device0,
             self.dimms.intern(dimm), self.servers.intern(server), rank, mask,
             fault,
         )
@@ -510,8 +521,9 @@ class TelemetryColumns:
             values, t, server, dimm, devices, (rank, bank, row, column, fault)
         )[2]
         return (
-            float(t), self.servers.intern(server), self.dimms.intern(dimm),
-            rank, bank, row, column, mask, bool(sudden), fault,
+            _hours(t, values), self.servers.intern(server),
+            self.dimms.intern(dimm), rank, bank, row, column, mask,
+            bool(sudden), fault,
         )
 
     def _event_row(self, values: tuple) -> tuple:
@@ -526,8 +538,9 @@ class TelemetryColumns:
             values,
         )
         return (
-            float(t), self.servers.intern(server), self.dimms.intern(dimm),
-            _KIND_CODE_OF[kind], self.details.intern(detail),
+            _hours(t, values), self.servers.intern(server),
+            self.dimms.intern(dimm), _KIND_CODE_OF[kind],
+            self.details.intern(detail),
         )
 
     def encode(self, record) -> tuple[str, tuple]:
@@ -607,7 +620,7 @@ class TelemetryColumns:
                 continue
             try:
                 kind, row = self.encode_payload(payloads[position])
-            except (KeyError, ValueError, OverflowError):
+            except (KeyError, ValueError):
                 skipped += 1
                 continue
             rows[kind].append(row)

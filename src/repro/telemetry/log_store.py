@@ -12,6 +12,7 @@ format; the loader parses straight into column rows.
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
 import itertools
@@ -192,11 +193,12 @@ class LogStore:
         Joining ``chunk_lines`` lines into one JSON array trades that many
         small ``json.loads`` calls for one C-level parse while keeping the
         set of live payload dicts bounded.  A chunk whose joined parse
-        fails, or yields a different number of values than it has
-        non-blank lines (a line holding two comma-separated values), is
-        re-parsed line by line.  Each chunk's CE payloads are then checked
-        and encoded a column at a time and land in the CE table as one
-        block (:meth:`TelemetryColumns.extend_payloads`); UEs, events and
+        fails, or does not give exactly one value per non-blank line (a
+        line holding two comma-separated values, a bracket opened on one
+        line and closed on another), is re-parsed line by line.  Each
+        chunk's CE payloads are then checked and encoded a column at a
+        time and land in the CE table as one block
+        (:meth:`TelemetryColumns.extend_payloads`); UEs, events and
         configs are typed one by one.  A chunk with any CE that fails a
         column check is re-encoded payload by payload with
         :meth:`TelemetryColumns.encode_payload`, the one reference, so
@@ -206,12 +208,13 @@ class LogStore:
         threshold dominates load time in long-running processes.
 
         Malformed lines are skipped, counted on the returned store's
-        ``skipped_lines`` and surfaced in one warning: broken JSON, a
-        non-object line, an unknown ``record_type``, a missing field, a
-        field of the wrong JSON type (``"dq_count": "3"``, ``"dimm_id":
-        7``, a config's ``"capacity_gb": "32"``, ...) or a value the
-        columns cannot hold.  A torn tail line from a crashed writer must
-        not make a whole campaign unloadable.  ``metrics`` (a
+        ``skipped_lines`` and surfaced in one warning: broken JSON, JSON
+        nested too deeply to parse, a non-object line, an unknown
+        ``record_type``, a missing field, a field of the wrong JSON type
+        (``"dq_count": "3"``, ``"dimm_id": 7``, a config's
+        ``"capacity_gb": "32"``, ...) or a value the columns cannot
+        hold.  A torn tail line from a crashed writer must not make a
+        whole campaign unloadable.  ``metrics`` (a
         :class:`repro.obs.MetricsRegistry`) additionally exposes the count
         as ``repro_logstore_skipped_lines_total{source=<file name>}``.
         """
@@ -274,9 +277,10 @@ class LogStore:
 def _iter_payload_chunks(handle, chunk_lines: int):
     """Yield payload lists, one C-level JSON parse per line chunk.
 
-    A chunk whose joined parse fails, or does not give one value per
-    non-blank line, is re-parsed line by line, and each broken line yields
-    a ``None`` payload instead of aborting the load.
+    A chunk whose joined parse (:func:`_parse_lines`) does not give
+    exactly one value per non-blank line is re-parsed line by line, and
+    each broken line yields a ``None`` payload instead of aborting the
+    load.
     """
     while True:
         chunk = list(itertools.islice(handle, chunk_lines))
@@ -285,19 +289,50 @@ def _iter_payload_chunks(handle, chunk_lines: int):
         lines = list(filter(str.strip, chunk))
         if not lines:
             continue
-        try:
-            payloads = json.loads("[" + ",".join(lines) + "]")
-        except ValueError:  # broken JSON, an integer of too many digits
-            payloads = None
-        if payloads is None or len(payloads) != len(lines):
+        payloads = _parse_lines(lines)
+        if payloads is None:
             payloads = [_parse_or_none(line) for line in lines]
         yield payloads
+
+
+#: The joined parse turns the ``NaN`` after each line into this object,
+#: which no JSON value equals.
+_LINE_MARK = object()
+
+
+def _parse_lines(lines: list[str]) -> list | None:
+    """Each line's one JSON value from one joined parse, or ``None``.
+
+    The chunk parses as ``[line, NaN, line, NaN, ...]``.  Commas do not
+    tell lines apart (``1, 2`` is one line holding two values; ``[1`` and
+    ``2]`` are two lines holding one), but the ``NaN`` marks do.  If the
+    parse met no JSON constant (``NaN``, ``Infinity``, ``-Infinity``) but
+    the marks, and has a mark at every odd position, each line between
+    two marks is exactly one value.
+    """
+    n = len(lines)
+    # The n marks take one item each; an (n + 1)-th constant takes the last.
+    marks = itertools.repeat(_LINE_MARK, n + 1)
+    try:
+        parsed = json.loads(
+            "[" + ",NaN,".join(lines) + ",NaN]",
+            parse_constant=functools.partial(next, marks),
+        )
+    except (ValueError, RecursionError):  # broken JSON, too deep, too many digits
+        return None
+    if (
+        next(marks, None) is not _LINE_MARK
+        or len(parsed) != 2 * n
+        or parsed[1::2] != [_LINE_MARK] * n
+    ):
+        return None
+    return parsed[0::2]
 
 
 def _parse_or_none(line: str):
     try:
         return json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
 
 

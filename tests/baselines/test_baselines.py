@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    AlwaysNegativeModel,
     CeCountThresholdModel,
     RULE_FEATURES,
     RiskyCeParams,
@@ -102,7 +101,3 @@ class TestHeuristics:
         model = CeCountThresholdModel(FEATURES)
         with pytest.raises(RuntimeError):
             model.predict_proba(np.zeros((1, len(FEATURES))))
-
-    def test_always_negative(self):
-        model = AlwaysNegativeModel().fit(np.zeros((3, 2)), np.zeros(3))
-        assert model.predict(np.zeros((3, 2))).sum() == 0

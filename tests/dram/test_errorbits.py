@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dram.errorbits import (
-    BusErrorPattern,
-    DeviceErrorBitmap,
-    merge_device_bitmaps,
-)
+from repro.dram.errorbits import BusErrorPattern, DeviceErrorBitmap
 
 positions = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 3)),
@@ -50,11 +46,6 @@ class TestDeviceErrorBitmap:
     def test_from_matrix_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             DeviceErrorBitmap.from_matrix(np.zeros((4, 8), dtype=bool))
-
-    def test_union_merges_bits(self):
-        a = DeviceErrorBitmap.from_positions([(0, 0)])
-        b = DeviceErrorBitmap.from_positions([(1, 1)])
-        assert a.union(b).error_bit_count == 2
 
     @given(positions)
     def test_roundtrip_is_identity(self, pos):
@@ -118,14 +109,3 @@ class TestBusErrorPattern:
         pattern = BusErrorPattern(device_bits=())
         assert pattern.is_empty
         assert pattern.max_symbols_in_any_beat == 0
-
-
-def test_merge_device_bitmaps_accumulates():
-    parts = [
-        DeviceErrorBitmap.from_positions([(0, 0)]),
-        DeviceErrorBitmap.from_positions([(1, 1)]),
-        DeviceErrorBitmap.from_positions([(0, 0), (2, 2)]),
-    ]
-    merged = merge_device_bitmaps(parts)
-    assert merged.error_bit_count == 3
-    assert merged.dq_count == 3

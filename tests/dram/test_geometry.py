@@ -12,7 +12,6 @@ from repro.dram.geometry import (
     X4_DEVICES_PER_RANK,
     CellAddress,
     DimmGeometry,
-    iter_bank_ids,
 )
 
 
@@ -118,13 +117,6 @@ class TestCellAddress:
         b = CellAddress(0, 0, 0, 0, 1)
         assert a < b
         assert len({a, b, a}) == 2
-
-
-def test_iter_bank_ids_covers_every_bank():
-    geometry = DimmGeometry(ranks=1)
-    banks = list(iter_bank_ids(geometry))
-    assert len(banks) == geometry.devices_per_rank * geometry.banks
-    assert len(set(banks)) == len(banks)
 
 
 @given(

@@ -6,7 +6,6 @@ from repro.dram.spec import (
     ChipProcess,
     DimmSpec,
     Manufacturer,
-    ServerSpec,
     make_part_number,
 )
 
@@ -38,28 +37,6 @@ class TestDimmSpec:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             make_spec(capacity_gb=0)
-
-
-class TestServerSpec:
-    def test_requires_at_least_one_dimm(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ServerSpec(server_id="s0", platform_name="p", dimms=())
-
-    def test_rejects_duplicate_dimm_ids(self):
-        with pytest.raises(ValueError, match="unique"):
-            ServerSpec(
-                server_id="s0",
-                platform_name="p",
-                dimms=(make_spec("d0"), make_spec("d0")),
-            )
-
-    def test_dimm_ids_preserved_in_order(self):
-        server = ServerSpec(
-            server_id="s0",
-            platform_name="p",
-            dimms=(make_spec("d0"), make_spec("d1")),
-        )
-        assert server.dimm_ids == ("d0", "d1")
 
 
 def test_part_number_is_deterministic_and_distinct():

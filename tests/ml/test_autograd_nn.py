@@ -11,7 +11,7 @@ from repro.ml.nn import (
     TransformerBlock,
     binary_cross_entropy_with_logits,
 )
-from repro.ml.optim import SGD, Adam
+from repro.ml.optim import Adam
 
 
 def numeric_gradient(f, tensor, eps=1e-6):
@@ -192,16 +192,6 @@ class TestOptimisers:
             loss.backward()
             optimizer.step()
         assert np.abs(x.data).max() < 0.05
-
-    def test_sgd_minimises_quadratic(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        optimizer = SGD([x], lr=0.05, momentum=0.5)
-        for _ in range(200):
-            loss = (x * x).sum()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-        assert abs(float(x.data[0])) < 0.05
 
     def test_gradient_clipping_bounds_norm(self):
         x = Tensor(np.array([1.0]), requires_grad=True)

@@ -1,4 +1,4 @@
-"""Tests for model persistence, hyperparameter search and the cost model."""
+"""Tests for model persistence and the cost model."""
 
 import json
 
@@ -112,41 +112,6 @@ class TestModelIoRejectsCorruptTrees:
         )
         with pytest.raises(ValueError, match=f"tree 1: .*{message}"):
             load_forest(path)
-
-
-class TestSearch:
-    def test_random_search_finds_learnable_config(self):
-        from repro.features.sampling import SampleSet
-        from repro.ml.search import random_search_gbdt
-
-        rng = np.random.default_rng(0)
-        n = 800
-        X = rng.normal(size=(n, 6))
-        y = (X[:, 0] > 0.8).astype(int)
-        dimms = np.array([f"d{i // 4}" for i in range(n)], dtype=object)
-        samples = SampleSet(
-            X=X, y=y, times=np.arange(n, dtype=float), dimm_ids=dimms,
-            feature_names=[f"f{i}" for i in range(6)],
-        )
-        train = samples.subset(np.arange(n) < 600)
-        validation = samples.subset(np.arange(n) >= 600)
-        results = random_search_gbdt(train, validation, n_trials=4, seed=1)
-        assert len(results) == 4
-        assert results[0].validation_ap >= results[-1].validation_ap
-        assert results[0].validation_ap > 0.5
-
-    def test_search_requires_validation_positives(self):
-        from repro.features.sampling import SampleSet
-        from repro.ml.search import random_search_gbdt
-
-        samples = SampleSet(
-            X=np.zeros((10, 2)), y=np.zeros(10, dtype=int),
-            times=np.arange(10.0),
-            dimm_ids=np.array([f"d{i}" for i in range(10)], dtype=object),
-            feature_names=["a", "b"],
-        )
-        with pytest.raises(ValueError):
-            random_search_gbdt(samples, samples, n_trials=1)
 
 
 class TestCostModel:

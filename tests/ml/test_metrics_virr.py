@@ -8,14 +8,11 @@ from repro.ml.metrics import (
     ConfusionCounts,
     average_precision,
     confusion,
-    f1_score,
     log_loss,
     precision_recall_curve,
-    precision_score,
-    recall_score,
     roc_auc,
 )
-from repro.ml.threshold import apply_threshold, select_threshold, sweep_operating_points
+from repro.ml.threshold import select_threshold, sweep_operating_points
 from repro.ml.virr import breakeven_precision, virr, virr_from_counts
 
 
@@ -122,8 +119,7 @@ class TestThreshold:
         s = [0.1, 0.2, 0.3, 0.8, 0.9]
         point = select_threshold(y, s, objective="f1")
         assert point.f1 == 1.0
-        predictions = apply_threshold(s, point.threshold)
-        assert f1_score(y, predictions) == 1.0
+        assert confusion(y, np.asarray(s) >= point.threshold).f1 == 1.0
 
     def test_sweep_contains_all_distinct_scores(self):
         y = [0, 1, 0, 1]

@@ -1,14 +1,8 @@
 """Tests for the MLOps framework components."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import repro
 from repro.mlops.data_pipeline import DataLake, DataPipeline, default_ingestion_pipeline
 from repro.mlops.feature_store import FeatureDefinition, FeatureRegistry, FeatureStore
 from repro.mlops.model_registry import (
@@ -20,6 +14,9 @@ from repro.mlops.model_registry import (
 from repro.mlops.monitoring import (
     Dashboard,
     DriftMonitor,
+    DriftReport,
+    _kolmogorov_sf,
+    ks_two_sample,
     population_stability_index,
 )
 from repro.mlops.serving import Alarm, AlarmSystem
@@ -36,25 +33,22 @@ def ce(t, dimm="d0", row=1):
 
 
 class TestDataPipeline:
-    def test_stages_run_in_topological_order(self):
+    def test_stages_run_in_registration_order(self):
         pipeline = DataPipeline()
         order = []
-        pipeline.add_stage("a", lambda r: (order.append("a"), r)[1])
-        pipeline.add_stage("b", lambda r: (order.append("b"), r)[1], after=("a",))
-        pipeline.add_stage("c", lambda r: (order.append("c"), r)[1], after=("b",))
-        pipeline.run([ce(1.0)])
-        assert order == ["a", "b", "c"]
+        for name in ("c", "a", "b"):
+            pipeline.add_stage(name, lambda r, n=name: (order.append(n), r + [n])[1])
+        records, results = pipeline.run([])
+        assert order == ["c", "a", "b"]
+        assert records == ["c", "a", "b"]  # each stage fed the next
+        assert [r.stage for r in results] == ["c", "a", "b"]
+        assert [r.records_out for r in results] == [1, 2, 3]
 
-    def test_cycle_rejected(self):
+    def test_duplicate_stage_rejected(self):
         pipeline = DataPipeline()
         pipeline.add_stage("a", lambda r: r)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate stage"):
             pipeline.add_stage("a", lambda r: r)
-
-    def test_unknown_dependency_rejected(self):
-        pipeline = DataPipeline()
-        with pytest.raises(ValueError, match="unknown dependency"):
-            pipeline.add_stage("b", lambda r: r, after=("missing",))
 
     def test_stage_failure_is_captured(self):
         pipeline = DataPipeline()
@@ -64,10 +58,25 @@ class TestDataPipeline:
         assert not results[0].ok
         assert "ZeroDivisionError" in results[0].error
 
+    def test_failed_stage_stops_the_chain(self):
+        pipeline = DataPipeline()
+        ran = []
+        pipeline.add_stage("first", lambda r: (ran.append("first"), r)[1])
+        pipeline.add_stage("boom", lambda r: 1 / 0)
+        pipeline.add_stage("last", lambda r: (ran.append("last"), r)[1])
+        records, results = pipeline.run([ce(1.0), ce(2.0)])
+        assert ran == ["first"]
+        assert [(r.stage, r.ok) for r in results] == [
+            ("first", True), ("boom", False),
+        ]
+        assert results[1].records_in == 2
+        assert pipeline.runs == [results]
+
     def test_default_pipeline_dedups_and_sorts(self):
         pipeline = default_ingestion_pipeline()
         duplicate = ce(2.0)
         records, results = pipeline.run([duplicate, ce(1.0), duplicate])
+        assert [r.stage for r in results] == ["validate", "deduplicate", "sort"]
         assert all(r.ok for r in results)
         assert [r.timestamp_hours for r in records] == [1.0, 2.0]
 
@@ -82,7 +91,14 @@ class TestDataPipeline:
         lambda line: "7",
         lambda line: line.replace('"dq_count": 1', '"dq_count": "3"'),
         lambda line: line[: len(line) // 2],
-    ], ids=["non-object", "mistyped-field", "broken-json"])
+        lambda line: line.replace(
+            '"timestamp_hours": 1.0', '"timestamp_hours": 1' + "0" * 400
+        ),
+        lambda line: "[" * 100_000,
+    ], ids=[
+        "non-object", "mistyped-field", "broken-json",
+        "timestamp-beyond-float", "too-deeply-nested",
+    ])
     def test_data_lake_rejects_malformed_line(self, tmp_path, edit):
         lake = DataLake(tmp_path / "lake")
         path = lake.write_partition("bmc", [ce(1.0)])
@@ -221,27 +237,76 @@ class TestMonitoring:
             monitor.observe(rng.normal(0, 1, size=2))
         assert not monitor.needs_retraining()
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # Every CLI call and spawn-started worker imports repro.cli;
-        # scipy.stats (~1 s, ~60 MiB) loads only when a drift check runs.
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
+    def test_ks_identical_samples(self):
+        sample = np.sin(np.arange(200) * 0.3)
+        assert ks_two_sample(sample, sample) == (0.0, 1.0)
+
+    def test_ks_disjoint_samples(self):
+        statistic, pvalue = ks_two_sample(np.arange(100.0), np.arange(100.0) + 1e3)
+        assert statistic == 1.0
+        assert 0.0 <= pvalue < 1e-40
+
+    # (reference, observed, scipy.stats.ks_2samp statistic, asymptotic
+    # p-value = scipy.stats.kstwobign.sf(sqrt(en) * D)), recorded with
+    # scipy 1.17.1.
+    KS_CASES = {
+        "sin-vs-cos": (
+            np.sin(np.arange(120) * 0.7), np.cos(np.arange(90) * 1.3) + 0.2,
+            0.21666666666666667, 0.015995869287326322,
+        ),
+        "ties": (
+            (np.arange(60) % 7).astype(float), (np.arange(45) % 5).astype(float),
+            0.26666666666666666, 0.0516113916471346,
+        ),
+        "large": (
+            np.sin(np.arange(3000) * 0.37),
+            np.sin(np.arange(12000) * 0.11) * 1.1 + 0.05,
+            0.1681666666666667, 2.2289582723327155e-59,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(KS_CASES))
+    def test_ks_matches_scipy(self, case):
+        reference, observed, scipy_statistic, asymptotic_p = self.KS_CASES[case]
+        statistic, pvalue = ks_two_sample(reference, observed)
+        assert abs(statistic - scipy_statistic) <= 1e-15
+        assert pvalue == pytest.approx(asymptotic_p, rel=1e-12)
+        assert ks_two_sample(observed, reference)[0] == statistic
+
+    # x -> scipy.stats.kstwobign.sf(x), recorded with scipy 1.17.1.  The
+    # points straddle the switch between the two series at x = 1.18.
+    KOLMOGOROV_SF = {
+        0.0: 1.0,
+        0.2: 0.999999999999495,
+        0.8: 0.5441424115741981,
+        1.1799: 0.12351204971188676,
+        1.18: 0.1234538094297657,
+        2.0: 0.0006709252557796953,
+        6.0: 1.0760372320042276e-31,
+    }
+
+    @pytest.mark.parametrize("x", sorted(KOLMOGOROV_SF))
+    def test_kolmogorov_sf_matches_kstwobign(self, x):
+        assert _kolmogorov_sf(x) == pytest.approx(
+            self.KOLMOGOROV_SF[x], rel=1e-14
         )
-        probe = (
-            "import sys, repro.cli, repro.mlops; "
-            "print('scipy.stats' in sys.modules)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+
+    def test_drift_report_needs_psi_and_ks(self):
+        def report(psi, pvalue):
+            return DriftReport("f", psi=psi, ks_statistic=0.5, ks_pvalue=pvalue)
+
+        assert report(0.3, 0.001).is_drifted()
+        assert not report(0.2, 0.001).is_drifted()  # PSI below threshold
+        assert not report(0.3, 0.05).is_drifted()  # KS not significant
+        assert report(0.2, 0.001).is_drifted(psi_threshold=0.1)
+
+    def test_drift_monitor_skips_constant_features(self):
+        rng = np.random.default_rng(0)
+        reference = np.column_stack([rng.normal(size=200), np.ones(200)])
+        monitor = DriftMonitor(reference, ["a", "flag"], min_samples=10)
+        for value in rng.normal(size=20):
+            monitor.observe([value, 1.0])
+        assert [report.feature for report in monitor.check()] == ["a"]
 
 
 class TestAlarmSystem:

@@ -220,6 +220,7 @@ class TestLogStore:
             '"x"',
             "null",
             '{"record_type": "ce", "row": ' + "9" * 5000 + "}",
+            "[" * 100_000,
             {"timestamp_hours": "abc"},
             {"dq_count": "3"},
             {"rank": "x"},
@@ -230,6 +231,7 @@ class TestLogStore:
         ],
         ids=[
             "int", "list", "string", "null", "int-too-many-digits",
+            "too-deeply-nested",
             "timestamp-str",
             "dq_count-str", "rank-str", "dimm_id-int", "device-float",
             "rank-bool", "timestamp-beyond-float",
@@ -281,6 +283,50 @@ class TestLogStore:
             assert loaded.columns.dimms.names() == []
 
     @pytest.mark.parametrize(
+        "middle",
+        [
+            "{ce}, {ce}\n[{ce}\n5]",
+            "{ce}],[{ce}\n[[1\n2]]",
+            "{ce}, NaN, {ce}\n[1\n2]",
+        ],
+        ids=[
+            "two-values-then-a-split-list", "brackets-span-lines",
+            "line-holds-the-chunk-mark",
+        ],
+    )
+    def test_load_jsonl_values_shifted_across_lines_are_skipped(
+        self, tmp_path, middle
+    ):
+        """Three broken lines whose joined array still parses as one value
+        per line (a line with two values, two lines with one) load no
+        record; the good lines around them still load."""
+        ce_line = json.dumps(make_ce().to_dict())
+        first = json.dumps(make_ce(t=0.5).to_dict())
+        last = json.dumps(make_ce(t=9.0).to_dict())
+        path = tmp_path / "shifted.jsonl"
+        path.write_text("\n".join([first, middle.format(ce=ce_line), last]) + "\n")
+        for chunk_lines in (1, 5, 4096):
+            with pytest.warns(RuntimeWarning, match="skipped 3 malformed"):
+                loaded = LogStore.load_jsonl(path, chunk_lines=chunk_lines)
+            assert loaded.skipped_lines == 3
+            assert loaded.ces == [make_ce(t=0.5), make_ce(t=9.0)]
+
+    def test_load_jsonl_line_holding_a_json_constant_loads(self, tmp_path):
+        """A JSON constant in a line (the chunk parse's line mark is one)
+        sends the chunk down the line-by-line path with the same result."""
+        store = LogStore()
+        for t in (1.0, 2.0, 3.0):
+            store.add_ce(make_ce(t=t))
+        path = tmp_path / "constant.jsonl"
+        store.dump_jsonl(path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-1] + ', "note": NaN}'
+        path.write_text("\n".join(lines) + "\n")
+        loaded = LogStore.load_jsonl(path)
+        assert loaded.skipped_lines == 0
+        assert loaded.ces == store.ces
+
+    @pytest.mark.parametrize(
         "overrides",
         [{"dimm_id": ["x"]}, {"capacity_gb": "32"}, {"dimm_id": 7}],
         ids=["dimm_id-list", "capacity_gb-str", "dimm_id-int"],
@@ -318,6 +364,7 @@ class TestLogStore:
             {"rank": "0"},
             {"dimm_id": 7},
             {"t": "1.0"},
+            {"t": 10**400},
         ],
     )
     def test_unencodable_record_raises_and_stores_nothing(self, overrides):
@@ -326,6 +373,7 @@ class TestLogStore:
             store.add_ce(make_ce(**overrides))
         # Checked before any id is interned.
         assert len(store) == 0 and store.columns.dimms.names() == []
+        assert store.columns.servers.names() == []
         with pytest.raises(RecordEncodingError):
             store.ingest_bulk([make_ce(t=0.5), make_ce(**overrides)])
         assert len(store) == 0  # no row of the batch lands
