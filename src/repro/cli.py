@@ -129,10 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="feature-extraction engine (default: fleet)",
     )
     run.add_argument(
-        "--workers", type=int, default=None,
-        help="shard the fleet extraction over N processes",
-    )
-    run.add_argument(
         "--cache-dir", type=Path, default=None,
         help="persist simulations/SampleSets in this artifact-cache directory",
     )
@@ -460,8 +456,6 @@ def _cmd_run(args) -> int:
     flag_overrides = []
     if args.engine is not None:
         flag_overrides.append(f"engine={args.engine}")
-    if args.workers is not None:
-        flag_overrides.append(f"workers={args.workers}")
     if args.cache_dir is not None:
         flag_overrides.append(f"cache_dir={args.cache_dir}")
     if flag_overrides:

@@ -79,12 +79,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from repro.distributed.shards import ShardManifest, load_shard, write_fleet_shards
 from repro.features.labeling import LabelingParams
-from repro.features.pipeline import _extract_fleet_shard
-from repro.features.sampling import SampleSet, thinning_jitters
 from repro.fleetops.cost import CostModel, combine_summaries
 from repro.fleetops.engine import (
     _NULL_POLICY,
@@ -254,11 +250,10 @@ def _partition_result(
 ):
     """One pool partition's result with the crashed-worker retry taxonomy.
 
-    Mirrors ``features.pipeline._shard_result``: a broken pool re-raises
-    so the caller falls back to the next pool class wholesale; a
-    transient worker death (OSError / pickling / memory) retries with
-    backoff via ``resubmit()`` and finally reruns ``inline()``; anything
-    else is a genuine bug.
+    A broken pool re-raises so the caller falls back to the next pool
+    class wholesale; a transient worker death (OSError / pickling /
+    memory) retries with backoff via ``resubmit()`` and finally reruns
+    ``inline()``; anything else is a genuine bug.
     """
     for attempt in range(retries):
         try:
@@ -286,11 +281,11 @@ def _run_pool(fn, run_wide: dict, parts: list[dict], workers: int) -> list:
     ``i`` with ``i % workers == 0`` runs here while ``workers - 1`` pool
     workers run the rest.  Pool processes receive ``run_wide`` once,
     through the pool initializer, and each task ships only its ``part``;
-    pool threads share it directly.  The same resilience ladder as the
-    sharded sample build: process pool -> threads -> inline, each rung
-    catching pool-construction/teardown failures wholesale.  Results
-    already in hand carry over when a rung falls through, and every
-    part run in this process gets one retry on a transient death.
+    pool threads share it directly.  The resilience ladder is process
+    pool -> threads -> inline, each rung catching pool-construction and
+    teardown failures wholesale.  Results already in hand carry over
+    when a rung falls through, and every part run in this process gets
+    one retry on a transient death.
     """
     payloads = [{**run_wide, **part} for part in parts]
     results: dict[int, object] = {}
@@ -770,107 +765,3 @@ def apply_policy(
         policy.on_incident(platform, incident)
     if end_hours:
         policy.advance(max(end_hours.values()))
-
-
-# -- sharded sample build ---------------------------------------------------
-
-
-def _build_partition(payload: dict) -> tuple:
-    """Worker body: extract one shard's labeled samples."""
-    manifest = ShardManifest.from_dict(payload["manifest"])
-    columns = load_shard(
-        payload["shard_dir"], manifest, payload["index"], mmap=payload["mmap"]
-    )[payload["platform_key"]]
-    fleet = columns.fleet_view()
-    configs = [
-        payload["configs"].get(dimm_id) for dimm_id in fleet.dimm_ids
-    ]
-    jitters = [
-        payload["jitters"].get(dimm_id) for dimm_id in fleet.dimm_ids
-    ]
-    X, y, times, counts = _extract_fleet_shard(
-        payload["pipeline"], fleet, configs, jitters, payload["end_hour"]
-    )
-    return (X, y, times, counts, list(fleet.dimm_ids))
-
-
-def build_samples_distributed(
-    pipeline,
-    store,
-    *,
-    platform: str = "",
-    workers: int = 2,
-    n_shards: int | None = None,
-    shard_dir=None,
-    mmap: bool = True,
-) -> SampleSet:
-    """``FeaturePipeline.build_samples`` fanned out over shard files.
-
-    The thinning jitters are drawn once from the *global* fleet (the rng
-    sequence walks every DIMM in fleet order) and shipped per shard, so
-    the concatenated sample set is bit-for-bit identical to the
-    single-process build: shard DIMM ranges are contiguous slices of the
-    sorted fleet order, and each shard's rows are already in global
-    order within its slice.
-    """
-    if not pipeline._fitted:
-        pipeline.fit(store)
-    fleet = store.fleet_arrays()
-    sampling = pipeline.config.sampling
-    rng = np.random.default_rng(sampling.seed)
-    jitters = thinning_jitters(
-        np.diff(fleet.ce_offsets),
-        sampling.max_samples_per_dimm,
-        sampling.min_history_ces,
-        rng,
-    )
-    jitter_of = dict(zip(fleet.dimm_ids, jitters))
-    config_of = {
-        dimm_id: store.config_for(dimm_id) for dimm_id in fleet.dimm_ids
-    }
-    platform_key = platform or "fleet"
-    workers = max(1, int(workers))
-    n_shards = int(n_shards) if n_shards else workers
-
-    def _run(shard_dir: Path) -> SampleSet:
-        manifest = write_fleet_shards(
-            {platform_key: store.columns}, n_shards, shard_dir
-        )
-        run_wide = {
-            "shard_dir": str(shard_dir),
-            "manifest": manifest.to_dict(),
-            "platform_key": platform_key,
-            "pipeline": pipeline,
-            "configs": config_of,
-            "jitters": jitter_of,
-            "end_hour": store.end_hour,
-            "mmap": mmap,
-        }
-        parts = [{"index": entry["index"]} for entry in manifest.shards]
-        shards = _run_pool(_build_partition, run_wide, parts, workers)
-        names = pipeline.feature_names()
-        X = np.vstack([shard[0] for shard in shards])
-        y = np.concatenate([shard[1] for shard in shards])
-        times = np.concatenate([shard[2] for shard in shards])
-        dimm_ids = np.concatenate(
-            [
-                np.repeat(np.asarray(shard[4], dtype=object), shard[3])
-                for shard in shards
-            ]
-        )
-        if X.shape[0] == 0:
-            X = np.empty((0, len(names)))
-        return SampleSet(
-            X=X,
-            y=y.astype(int),
-            times=times,
-            dimm_ids=dimm_ids,
-            feature_names=names,
-            feature_groups=pipeline.feature_groups(),
-            platform=platform,
-        )
-
-    if shard_dir is not None:
-        return _run(Path(shard_dir))
-    with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-        return _run(Path(tmp))

@@ -140,7 +140,6 @@ class RunContext:
             platform=platform,
             campaign_end_hour=simulation.duration_hours,
             engine=self.spec.engine,
-            workers=self.spec.workers,
             tracer=self.obs.tracer if self.obs is not None else None,
             obs=self.obs,
             heartbeat_every=int(params.get("heartbeat_every", 0) or 0),

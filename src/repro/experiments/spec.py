@@ -31,8 +31,8 @@ class RunSpec:
     ``(platform, scale, seed, hours)`` identify a simulation artifact and
     ``max_samples_per_dimm`` (through the derived protocol) a SampleSet
     artifact in the :class:`~repro.experiments.cache.ArtifactCache`;
-    ``engine``/``workers`` only pick *how* samples are built (all engines
-    are bit-identical), so they are excluded from cache keys.
+    ``engine`` only picks *how* samples are built (both engines are
+    bit-identical), so it is excluded from cache keys.
     """
 
     scenario: str = "single_platform"
@@ -43,7 +43,6 @@ class RunSpec:
     seed: int = 7
     max_samples_per_dimm: int = 16
     engine: str = "fleet"
-    workers: int | None = None
     cache_dir: str | None = None
     #: Per-platform ``scale`` / ``hours`` overrides for heterogeneous
     #: fleets within one scenario, e.g. ``{"k920": {"scale": 0.5}}``.
@@ -106,8 +105,6 @@ class RunSpec:
             raise ValueError(
                 f"spec.engine {self.engine!r} not in {ENGINE_CHOICES}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("spec.workers must be >= 1 (or None)")
         if len(set(self.platforms)) != len(self.platforms):
             raise ValueError("spec.platforms contains duplicates")
         unknown_platforms = set(self.platform_overrides) - set(self.platforms)
@@ -231,7 +228,6 @@ _FIELD_KINDS = {
     "hours": "float",
     "seed": "int",
     "max_samples_per_dimm": "int",
-    "workers": "optional_int",
     "platform_overrides": "platform_overrides",
     "params": "json",
 }
@@ -250,8 +246,6 @@ def _coerce(key: str, raw: str):
         return float(raw)
     if kind == "int":
         return int(raw)
-    if kind == "optional_int":
-        return None if raw.lower() in ("", "none") else int(raw)
     if kind == "optional_str":
         return None if raw.lower() in ("", "none") else raw
     if kind == "platform_overrides":

@@ -19,7 +19,6 @@ from repro.features.sampling import (
     aggregate_by_dimm,
     choose_sample_times,
     temporal_split,
-    thinning_jitters,
 )
 from repro.features.spatial import SpatialExtractor
 from repro.features.static import EnvironmentExtractor, StaticEncoder
@@ -50,7 +49,6 @@ __all__ = [
     "labels_at_fleet",
     "sample_validity",
     "temporal_split",
-    "thinning_jitters",
     "valid_sample_mask",
     "valid_sample_mask_fleet",
 ]

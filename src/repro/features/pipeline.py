@@ -16,21 +16,16 @@ One reference, one fast path:
   log store's columnar fleet view feeds
   :class:`~repro.features.windows.FleetWindows`, and the temporal, spatial
   and bit-level extractors' ``compute_batch`` run once over the whole
-  fleet's ragged arrays.  Optionally sharded over a process pool
-  (``workers=``) with columnar pickling.
+  fleet's ragged arrays, in this process.
 
-Around them: :func:`repro.distributed.coordinator.build_samples_distributed`
-shards the fleet pass over shard files, and online serving
+Around them, online serving
 (:class:`~repro.streaming.incremental.IncrementalFeatureExtractor`) keeps a
-per-DIMM incremental window state — both pinned to ``transform_one`` by
-the parity suites.
+per-DIMM incremental window state, pinned to ``transform_one`` by the
+parity suites.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import pickle
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +42,6 @@ from repro.features.sampling import (
     SampleSet,
     SamplingParams,
     choose_sample_times,
-    thinning_jitters,
 )
 from repro.features.spatial import SpatialExtractor
 from repro.features.static import EnvironmentExtractor, StaticEncoder
@@ -220,7 +214,6 @@ class FeaturePipeline:
         platform: str = "",
         campaign_end_hour: float | None = None,
         engine: str | None = None,
-        workers: int | None = None,
         tracer=None,
         obs=None,
         heartbeat_every: int = 0,
@@ -228,15 +221,13 @@ class FeaturePipeline:
         """Batch construction of the labeled sample set for one platform.
 
         ``engine`` picks the extraction strategy (see module docstring);
-        the default (``None``) is the cross-DIMM fleet pass.  ``workers``
-        shards the fleet pass across a process pool (threads, then serial,
-        as fallbacks); every engine and worker count yields bit-for-bit
-        identical sample sets.  ``tracer`` optionally records fit/extract
-        spans (:mod:`repro.obs`); ``obs`` passes the whole bundle (its
-        tracer wins unless ``tracer`` is set) and ``heartbeat_every``
-        publishes live ``build_samples`` heartbeats — per completed shard
-        on the fleet engine, every N DIMMs (and after the last) otherwise.
-        Extraction itself is untouched either way.
+        the default (``None``) is the cross-DIMM fleet pass.  Both engines
+        yield bit-for-bit identical sample sets.  ``tracer`` optionally
+        records fit/extract spans (:mod:`repro.obs`); ``obs`` passes the
+        whole bundle (its tracer wins unless ``tracer`` is set) and
+        ``heartbeat_every`` publishes live ``build_samples`` heartbeats —
+        once after the pass on the fleet engine, every N DIMMs (and after
+        the last) otherwise.  Extraction itself is untouched either way.
         """
         if engine is None:
             engine = "fleet"
@@ -245,12 +236,7 @@ class FeaturePipeline:
         if tracer is None:
             tracer = obs.tracer if obs is not None else NULL_TRACER
         hb = int(heartbeat_every) if obs is not None else 0
-        with tracer.span(
-            "build_samples",
-            platform=platform,
-            engine=engine,
-            workers=workers if workers is not None else 1,
-        ):
+        with tracer.span("build_samples", platform=platform, engine=engine):
             if not self._fitted:
                 with tracer.span("build_samples.fit"):
                     self.fit(store)
@@ -261,10 +247,15 @@ class FeaturePipeline:
             )
             with tracer.span("build_samples.extract"):
                 if engine == "fleet":
-                    return self._build_fleet(
-                        store, platform, end_hour, workers,
-                        obs=obs, heartbeat_every=hb,
-                    )
+                    samples = self._build_fleet(store, platform, end_hour)
+                    if hb:
+                        obs.heartbeat("build_samples", {
+                            "shards": 1,
+                            "total": 1,
+                            "fraction": 1.0,
+                            "samples": len(samples),
+                        })
+                    return samples
                 return self._build_per_sample(
                     store, platform, end_hour, obs=obs, heartbeat_every=hb,
                 )
@@ -272,133 +263,41 @@ class FeaturePipeline:
     # -- fleet engine -------------------------------------------------------
 
     def _build_fleet(
-        self,
-        store: LogStore,
-        platform: str,
-        end_hour: float,
-        workers: int | None,
-        obs=None,
-        heartbeat_every: int = 0,
+        self, store: LogStore, platform: str, end_hour: float
     ) -> SampleSet:
-        fleet = store.fleet_arrays()
+        """The whole fleet's samples in one cross-DIMM pass."""
+        labeling = self.config.labeling
         sampling = self.config.sampling
         rng = np.random.default_rng(sampling.seed)
-        jitters = thinning_jitters(
-            np.diff(fleet.ce_offsets),
-            sampling.max_samples_per_dimm,
-            sampling.min_history_ces,
-            rng,
-        )
-        configs = [store.config_for(dimm_id) for dimm_id in fleet.dimm_ids]
-        progress = None
-        if obs is not None and heartbeat_every:
-            samples_done = 0
-
-            def progress(done, total, shard):
-                nonlocal samples_done
-                samples_done += int(shard[2].size)
-                obs.heartbeat("build_samples", {
-                    "shards": done,
-                    "total": total,
-                    "fraction": done / total if total else 1.0,
-                    "samples": samples_done,
-                })
-
-        if workers is not None and workers > 1 and fleet.n_dimms > 1:
-            shards = self._run_sharded(
-                fleet, configs, jitters, end_hour, workers,
-                progress=progress,
+        fleet = store.fleet_arrays()
+        ts_parts = [np.empty(0, dtype=float)]
+        seg_parts = [np.empty(0, dtype=np.int64)]
+        for i in range(fleet.n_dimms):
+            candidates = choose_sample_times(
+                fleet.times[fleet.ce_offsets[i] : fleet.ce_offsets[i + 1]],
+                sampling.max_samples_per_dimm,
+                sampling.min_history_ces,
+                rng,
             )
-        else:
-            shards = [_extract_fleet_shard(self, fleet, configs, jitters, end_hour)]
-            if progress is not None:
-                progress(1, 1, shards[0])
-
-        names = self.feature_names()
-        X = np.vstack([shard[0] for shard in shards])
-        y = np.concatenate([shard[1] for shard in shards])
-        times = np.concatenate([shard[2] for shard in shards])
-        counts = np.concatenate([shard[3] for shard in shards])
-        dimm_ids = np.repeat(np.asarray(fleet.dimm_ids, dtype=object), counts)
-        if X.shape[0] == 0:
-            X = np.empty((0, len(names)))
+            ts_parts.append(candidates)
+            seg_parts.append(np.full(candidates.size, i, dtype=np.int64))
+        ts = np.concatenate(ts_parts)
+        seg = np.concatenate(seg_parts)
+        mask = valid_sample_mask_fleet(
+            ts, fleet.ue_hours[seg], end_hour, labeling
+        )
+        ts = ts[mask]
+        seg = seg[mask]
+        configs = [store.config_for(dimm_id) for dimm_id in fleet.dimm_ids]
         return SampleSet(
-            X=X,
-            y=y.astype(int),
-            times=times,
-            dimm_ids=dimm_ids,
-            feature_names=names,
+            X=self.transform_fleet(fleet, configs, ts, seg),
+            y=labels_at_fleet(ts, fleet.ue_hours[seg], labeling),
+            times=ts,
+            dimm_ids=np.asarray(fleet.dimm_ids, dtype=object)[seg],
+            feature_names=self.feature_names(),
             feature_groups=self.feature_groups(),
             platform=platform,
         )
-
-    def _run_sharded(
-        self,
-        fleet: FleetArrays,
-        configs: list,
-        jitters: list,
-        end_hour: float,
-        workers: int,
-        progress=None,
-    ) -> list[tuple]:
-        """Fan the fleet pass out over DIMM shards (process -> thread -> serial).
-
-        Shards are submitted individually so one crashed worker costs one
-        shard, not the pass: :func:`_shard_result` resubmits a failed
-        shard with backoff and finally reassigns it to this process.  The
-        sample set is bit-for-bit identical no matter which worker (or
-        none) computed each shard.
-        """
-        n_shards = min(int(workers), fleet.n_dimms)
-        bounds = np.linspace(0, fleet.n_dimms, n_shards + 1).astype(int)
-        payloads = [
-            (
-                self,
-                fleet.shard(int(lo), int(hi)),
-                configs[lo:hi],
-                jitters[lo:hi],
-                end_hour,
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for pool_cls in (
-            concurrent.futures.ProcessPoolExecutor,
-            concurrent.futures.ThreadPoolExecutor,
-        ):
-            try:
-                with pool_cls(max_workers=n_shards) as pool:
-                    futures = [
-                        pool.submit(_extract_payload, payload)
-                        for payload in payloads
-                    ]
-                    results = []
-                    for payload, future in zip(payloads, futures):
-                        results.append(_shard_result(pool, payload, future))
-                        if progress is not None:
-                            progress(
-                                len(results), len(payloads), results[-1]
-                            )
-                    return results
-            except (
-                OSError,
-                PermissionError,
-                RuntimeError,  # e.g. "can't start new thread" under limits
-                pickle.PicklingError,
-                concurrent.futures.BrokenExecutor,
-            ):
-                # Process pools are unavailable in some sandboxes (and
-                # thread pools in some embedders); degrade gracefully —
-                # the result is bit-for-bit identical either way.  A
-                # worker-raised error lands here too; the serial retry
-                # below re-raises it if it was a genuine bug.
-                continue
-        results = []
-        for payload in payloads:
-            results.append(_extract_payload(payload))
-            if progress is not None:
-                progress(len(results), len(payloads), results[-1])
-        return results
 
     # -- per-sample reference engine -----------------------------------------
 
@@ -478,90 +377,3 @@ class FeaturePipeline:
             feature_groups=self.feature_groups(),
             platform=platform,
         )
-
-
-def _extract_payload(payload: tuple) -> tuple:
-    pipeline, fleet, configs, jitters, end_hour = payload
-    return _extract_fleet_shard(pipeline, fleet, configs, jitters, end_hour)
-
-
-def _shard_result(
-    pool, payload: tuple, future, retries: int = 2, backoff: float = 0.05
-) -> tuple:
-    """One shard's result, surviving crashed workers.
-
-    Infrastructure failures (a worker OOM-killed, a dropped pipe) get
-    ``retries`` resubmits with exponential backoff; a shard still failing
-    is reassigned to this process inline.  A broken *pool* propagates so
-    the caller can fall to the next pool class, and a genuine extraction
-    bug (any other exception) is raised immediately — retrying determinism
-    would just raise it again.
-    """
-    for attempt in range(retries):
-        try:
-            return future.result()
-        except concurrent.futures.BrokenExecutor:
-            raise
-        except (OSError, pickle.PicklingError, MemoryError):
-            time.sleep(backoff * (2 ** attempt))
-            try:
-                future = pool.submit(_extract_payload, payload)
-            except (RuntimeError, concurrent.futures.BrokenExecutor):
-                # Pool already shutting down/broken: reassign inline.
-                return _extract_payload(payload)
-    try:
-        return future.result()
-    except concurrent.futures.BrokenExecutor:
-        raise
-    except (OSError, pickle.PicklingError, MemoryError):
-        return _extract_payload(payload)
-
-
-def _extract_fleet_shard(
-    pipeline: FeaturePipeline,
-    fleet: FleetArrays,
-    configs: list,
-    jitters: list,
-    end_hour: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One shard's ``(X, y, times, per-DIMM sample counts)``.
-
-    Module-level (not a method) so process-pool workers can unpickle it;
-    the payload ships only columnar arrays, configs and the pre-drawn
-    thinning jitters.
-    """
-    labeling = pipeline.config.labeling
-    sampling = pipeline.config.sampling
-    ts_parts: list[np.ndarray] = []
-    seg_parts: list[np.ndarray] = []
-    for i in range(fleet.n_dimms):
-        times_i = fleet.times[fleet.ce_offsets[i] : fleet.ce_offsets[i + 1]]
-        candidates = choose_sample_times(
-            times_i,
-            sampling.max_samples_per_dimm,
-            sampling.min_history_ces,
-            None,
-            jitter=jitters[i],
-        )
-        if candidates.size == 0:
-            continue
-        ts_parts.append(np.asarray(candidates, dtype=float))
-        seg_parts.append(np.full(candidates.size, i, dtype=np.int64))
-
-    n_features = len(pipeline.feature_names())
-    if not ts_parts:
-        return (
-            np.empty((0, n_features)),
-            np.empty(0, dtype=int),
-            np.empty(0, dtype=float),
-            np.zeros(fleet.n_dimms, dtype=np.int64),
-        )
-    ts = np.concatenate(ts_parts)
-    seg = np.concatenate(seg_parts)
-    mask = valid_sample_mask_fleet(ts, fleet.ue_hours[seg], end_hour, labeling)
-    ts = ts[mask]
-    seg = seg[mask]
-    y = labels_at_fleet(ts, fleet.ue_hours[seg], labeling)
-    X = pipeline.transform_fleet(fleet, configs, ts, seg)
-    counts = np.bincount(seg, minlength=fleet.n_dimms)
-    return X, y, ts, counts

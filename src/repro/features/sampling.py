@@ -163,65 +163,25 @@ def choose_sample_times(
     ce_times: np.ndarray,
     max_samples: int,
     min_history_ces: int,
-    rng: np.random.Generator | None,
-    jitter: int | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Sampling instants for one DIMM: CE arrivals, thinned to the cap.
 
-    The thinning offset is normally drawn from ``rng``; the sharded fleet
-    build instead pre-draws every DIMM's offset in the canonical (sorted
-    DIMM id) order and passes it as ``jitter``, so parallel shards stay
-    bit-for-bit identical to the serial path.
+    ``rng`` is drawn once per DIMM that needs thinning and never
+    otherwise, so both sample-build engines, walking the fleet's DIMMs
+    in the same order, consume it identically.
     """
     if ce_times.size < min_history_ces:
         return np.empty(0)
     eligible = ce_times[min_history_ces - 1 :]
-    bound = _jitter_bound(ce_times.size, max_samples, min_history_ces)
-    if bound is None:
+    if eligible.size <= max_samples:
         return eligible
     # Deterministic even thinning plus one random offset keeps both early
     # and late samples while avoiding aliasing with burst structure.
     indices = np.linspace(0, eligible.size - 1, max_samples).astype(int)
-    if jitter is None:
-        jitter = int(rng.integers(0, bound))
+    jitter = int(rng.integers(0, max(1, eligible.size // max_samples)))
     indices = np.clip(indices + jitter, 0, eligible.size - 1)
     return eligible[np.unique(indices)]
-
-
-def _jitter_bound(
-    ce_count: int, max_samples: int, min_history_ces: int
-) -> int | None:
-    """Exclusive jitter range when a DIMM's samples need thinning, else None.
-
-    The single source of the eligibility arithmetic: both the in-loop
-    draw (:func:`choose_sample_times`) and the pre-draw
-    (:func:`thinning_jitters`) must consume the rng identically or
-    sharded builds lose bit parity with the serial path.
-    """
-    eligible = ce_count - (min_history_ces - 1)
-    if ce_count < min_history_ces or eligible <= max_samples:
-        return None
-    return max(1, eligible // max_samples)
-
-
-def thinning_jitters(
-    ce_counts: np.ndarray,
-    max_samples: int,
-    min_history_ces: int,
-    rng: np.random.Generator,
-) -> list[int | None]:
-    """Pre-draw each DIMM's :func:`choose_sample_times` offset.
-
-    ``ce_counts[i]`` is DIMM ``i``'s CE count in the canonical order.  The
-    rng is consumed exactly as the serial per-DIMM loop consumes it (one
-    draw per over-cap DIMM, in order), which is what keeps sharded builds
-    reproducible.
-    """
-    jitters: list[int | None] = []
-    for count in ce_counts:
-        bound = _jitter_bound(int(count), max_samples, min_history_ces)
-        jitters.append(None if bound is None else int(rng.integers(0, bound)))
-    return jitters
 
 
 def aggregate_by_dimm(

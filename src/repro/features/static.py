@@ -104,10 +104,10 @@ class EnvironmentExtractor:
             np.concatenate(arrays) if arrays else np.empty(0, dtype=float)
         )
         self._offsets = offsets
-        # The guard attribute is published last: the sharded build's
-        # thread fallback may race into this method, and an early return
-        # must only ever see a fully built index (a duplicate build is
-        # harmless — the inputs are identical).
+        # The guard attribute is published last: a pipeline shared by
+        # threads (the coordinator's thread fallback) may race into this
+        # method, and an early return must only ever see a fully built
+        # index (a duplicate build is harmless — the inputs are identical).
         self._codes = {server: code for code, server in enumerate(servers)}
 
     def server_code(self, server_id: str) -> int:

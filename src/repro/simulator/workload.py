@@ -47,21 +47,6 @@ class WorkloadModel:
     def peak_intensity(self) -> float:
         return self.base * (1.0 + self.diurnal_amplitude)
 
-    def thin_arrivals(
-        self, rng: np.random.Generator, times: np.ndarray
-    ) -> np.ndarray:
-        """Keep each arrival with probability intensity(t) / peak.
-
-        Feeding arrivals drawn at the *peak* rate yields an exact sample of
-        the inhomogeneous process with intensity ``intensity(t)``.
-        """
-        if times.size == 0:
-            return times
-        keep = rng.random(times.size) < (
-            np.asarray(self.intensity(times)) / self.peak_intensity
-        )
-        return times[keep]
-
 
 def sample_workload(rng: np.random.Generator) -> WorkloadModel:
     """Draw a server's workload model (log-normal utilisation, random phase)."""

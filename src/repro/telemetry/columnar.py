@@ -21,6 +21,7 @@ cross-DIMM extraction pass consumes them whole.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
@@ -131,14 +132,17 @@ def _check(ok: bool, values) -> None:
 
 
 def _hours(t, values) -> float:
-    """A type-checked timestamp as float64 (an integer beyond float range
-    cannot be stored)."""
+    """A type-checked timestamp as a finite float64 (NaN, an infinity and
+    an integer beyond float range cannot be stored)."""
     try:
-        return float(t)
+        hours = float(t)
     except OverflowError:
+        hours = math.inf
+    if not math.isfinite(hours):
         raise RecordEncodingError(
             f"record cannot be stored exactly: {values!r}"
-        ) from None
+        )
+    return hours
 
 
 def _checked_devices(values, t, server, dimm, devices, ints: tuple) -> tuple:
@@ -238,10 +242,10 @@ def _ce_block(payloads: list[dict]) -> tuple | None:
     Makes every check ``_ce_row`` makes, once per column: each field
     present, exact JSON types (``int`` for the integer fields and the
     device indices, ``int``/``float`` for the timestamp, ``str`` for the
-    ids, ``list`` for the devices), integers below 2^53 in magnitude and
-    devices ascending below :data:`MAX_DEVICE`.  Returns ``(block, dimm
-    ids, server ids)``, the ``(n, CE_WIDTH)`` block's id columns unset, or
-    ``None`` when any payload fails a check.
+    ids, ``list`` for the devices), finite timestamps, integers below 2^53
+    in magnitude and devices ascending below :data:`MAX_DEVICE`.  Returns
+    ``(block, dimm ids, server ids)``, the ``(n, CE_WIDTH)`` block's id
+    columns unset, or ``None`` when any payload fails a check.
     """
     try:
         times, servers, dimms, devices, *ints = [
@@ -265,7 +269,11 @@ def _ce_block(payloads: list[dict]) -> tuple | None:
         codes = np.array(list(map(_device_code, map(tuple, devices))))
     except (OverflowError, RecordEncodingError):
         return None
-    if not (-EXACT_INT < int_block.min() and int_block.max() < EXACT_INT):
+    if not (
+        -EXACT_INT < int_block.min()
+        and int_block.max() < EXACT_INT
+        and np.isfinite(times).all()
+    ):
         return None
     block = np.empty((len(payloads), CE_WIDTH))
     block[:, CE_T] = times
@@ -421,35 +429,6 @@ class FleetArrays:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def shard(self, lo: int, hi: int) -> "FleetArrays":
-        """Sub-fleet of DIMMs ``[lo, hi)`` with re-based segment offsets.
-
-        Array fields are zero-copy slices; this is what the sharded
-        parallel build pickles out to worker processes.
-        """
-        ce, st, rp = self.ce_offsets, self.storm_offsets, self.repair_offsets
-        return FleetArrays(
-            dimm_ids=self.dimm_ids[lo:hi],
-            server_ids=self.server_ids[lo:hi],
-            times=self.times[ce[lo] : ce[hi]],
-            dq_count=self.dq_count[ce[lo] : ce[hi]],
-            beat_count=self.beat_count[ce[lo] : ce[hi]],
-            dq_interval=self.dq_interval[ce[lo] : ce[hi]],
-            beat_interval=self.beat_interval[ce[lo] : ce[hi]],
-            n_devices=self.n_devices[ce[lo] : ce[hi]],
-            error_bits=self.error_bits[ce[lo] : ce[hi]],
-            rows=self.rows[ce[lo] : ce[hi]],
-            columns=self.columns[ce[lo] : ce[hi]],
-            banks=self.banks[ce[lo] : ce[hi]],
-            devices=self.devices[ce[lo] : ce[hi]],
-            ce_offsets=ce[lo : hi + 1] - ce[lo],
-            storm_times=self.storm_times[st[lo] : st[hi]],
-            storm_offsets=st[lo : hi + 1] - st[lo],
-            repair_times=self.repair_times[rp[lo] : rp[hi]],
-            repair_offsets=rp[lo : hi + 1] - rp[lo],
-            ue_hours=self.ue_hours[lo:hi],
-        )
 
 
 def _segmented(

@@ -16,8 +16,6 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
-from repro.dram.errorbits import BusErrorPattern
-
 
 def _to_dict(record) -> dict[str, Any]:
     """``dataclasses.asdict`` without its deep copy (fields are flat)."""
@@ -83,45 +81,6 @@ class CERecord:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "CERecord":
         return _from_dict(cls, payload, devices=tuple)
-
-    @classmethod
-    def from_pattern(
-        cls,
-        *,
-        timestamp_hours: float,
-        server_id: str,
-        dimm_id: str,
-        rank: int,
-        bank: int,
-        row: int,
-        column: int,
-        pattern: BusErrorPattern,
-        fault_id: int = -1,
-    ) -> "CERecord":
-        """Summarise a bus error pattern into a log record.
-
-        Bit-level statistics follow the paper's per-device convention: for a
-        multi-device burst we record the statistics of the worst (most bits)
-        device, since production decoders report one locus per MCE.
-        """
-        worst = max(pattern.device_bits, key=lambda item: item[1].error_bit_count)
-        bitmap = worst[1]
-        return cls(
-            timestamp_hours=timestamp_hours,
-            server_id=server_id,
-            dimm_id=dimm_id,
-            rank=rank,
-            bank=bank,
-            row=row,
-            column=column,
-            devices=pattern.devices,
-            dq_count=bitmap.dq_count,
-            beat_count=bitmap.beat_count,
-            dq_interval=bitmap.dq_interval,
-            beat_interval=bitmap.beat_interval,
-            error_bit_count=pattern.error_bit_count,
-            fault_id=fault_id,
-        )
 
 
 @dataclass(frozen=True, slots=True)

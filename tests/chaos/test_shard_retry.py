@@ -1,12 +1,11 @@
-"""Crashed-worker recovery in the sharded feature pass (`_shard_result`)."""
+"""Crashed-worker recovery in the coordinator's pool (`_partition_result`)."""
 
 import concurrent.futures
 import pickle
 
 import pytest
 
-import repro.features.pipeline as pipeline_module
-from repro.features.pipeline import _shard_result
+from repro.distributed.coordinator import _partition_result
 
 
 class _Future:
@@ -22,51 +21,43 @@ class _Future:
         return outcome
 
 
-class _Pool:
-    """Scripted pool: each submit pops the next future (or raises)."""
+class _Script:
+    """Scripted ``resubmit``/``inline`` pair that records its calls."""
 
-    def __init__(self, *futures):
-        self._futures = list(futures)
-        self.submitted = []
+    def __init__(self, *resubmits):
+        self._resubmits = list(resubmits)
+        self.resubmitted = 0
+        self.inlined = 0
 
-    def submit(self, fn, payload):
-        self.submitted.append((fn, payload))
-        outcome = self._futures.pop(0)
+    def resubmit(self):
+        self.resubmitted += 1
+        outcome = self._resubmits.pop(0)
         if isinstance(outcome, BaseException):
             raise outcome
         return outcome
 
+    def inline(self):
+        self.inlined += 1
+        return "inline"
 
-@pytest.fixture()
-def inline_extract(monkeypatch):
-    calls = []
-
-    def fake_extract(payload):
-        calls.append(payload)
-        return ("inline", payload)
-
-    monkeypatch.setattr(pipeline_module, "_extract_payload", fake_extract)
-    return calls
-
-
-PAYLOAD = ("pipeline", "shard", "configs", "jitters", 100.0)
-
-
-class TestShardResult:
-    def test_healthy_future_passes_through(self, inline_extract):
-        pool = _Pool()
-        assert _shard_result(pool, PAYLOAD, _Future("ok")) == "ok"
-        assert pool.submitted == [] and inline_extract == []
-
-    def test_infra_failure_resubmits_with_backoff(self, inline_extract):
-        retry = _Future("recovered")
-        pool = _Pool(retry)
-        result = _shard_result(
-            pool, PAYLOAD, _Future(OSError("worker killed")), backoff=0.0
+    def result(self, future, **kwargs):
+        return _partition_result(
+            self.resubmit, self.inline, future, **kwargs
         )
+
+
+class TestPartitionResult:
+    def test_healthy_future_passes_through(self):
+        script = _Script()
+        assert script.result(_Future("ok")) == "ok"
+        assert script.resubmitted == 0 and script.inlined == 0
+
+    def test_infra_failure_resubmits_with_backoff(self):
+        script = _Script(_Future("recovered"))
+        result = script.result(_Future(OSError("worker killed")), backoff=0.0)
         assert result == "recovered"
-        assert pool.submitted == [(pipeline_module._extract_payload, PAYLOAD)]
-        assert inline_extract == []  # worker recovered, no inline work
+        assert script.resubmitted == 1
+        assert script.inlined == 0  # worker recovered, no inline work
 
     @pytest.mark.parametrize(
         "error",
@@ -76,32 +67,27 @@ class TestShardResult:
             MemoryError(),
         ],
     )
-    def test_exhausted_retries_reassign_inline(self, inline_extract, error):
-        pool = _Pool(_Future(error), _Future(error))
-        result = _shard_result(
-            pool, PAYLOAD, _Future(error), retries=2, backoff=0.0
-        )
-        assert result == ("inline", PAYLOAD)
-        assert inline_extract == [PAYLOAD]
+    def test_exhausted_retries_rerun_inline(self, error):
+        script = _Script(_Future(error), _Future(error))
+        result = script.result(_Future(error), retries=2, backoff=0.0)
+        assert result == "inline"
+        assert script.resubmitted == 2 and script.inlined == 1
 
-    def test_pool_shutdown_mid_retry_reassigns_inline(self, inline_extract):
-        pool = _Pool(RuntimeError("cannot schedule new futures"))
-        result = _shard_result(
-            pool, PAYLOAD, _Future(OSError("worker killed")), backoff=0.0
-        )
-        assert result == ("inline", PAYLOAD)
-        assert inline_extract == [PAYLOAD]
+    def test_pool_shutdown_mid_retry_reruns_inline(self):
+        script = _Script(RuntimeError("cannot schedule new futures"))
+        result = script.result(_Future(OSError("worker killed")), backoff=0.0)
+        assert result == "inline"
+        assert script.resubmitted == 1 and script.inlined == 1
 
-    def test_broken_pool_propagates_to_pool_fallback(self, inline_extract):
+    def test_broken_pool_propagates_to_pool_fallback(self):
+        script = _Script()
         broken = concurrent.futures.BrokenExecutor("pool died")
         with pytest.raises(concurrent.futures.BrokenExecutor):
-            _shard_result(_Pool(), PAYLOAD, _Future(broken), backoff=0.0)
-        assert inline_extract == []
+            script.result(_Future(broken), backoff=0.0)
+        assert script.resubmitted == 0 and script.inlined == 0
 
-    def test_genuine_bug_propagates_immediately(self, inline_extract):
-        pool = _Pool()
+    def test_genuine_bug_propagates_immediately(self):
+        script = _Script()
         with pytest.raises(ValueError, match="deterministic bug"):
-            _shard_result(
-                pool, PAYLOAD, _Future(ValueError("deterministic bug"))
-            )
-        assert pool.submitted == [] and inline_extract == []
+            script.result(_Future(ValueError("deterministic bug")))
+        assert script.resubmitted == 0 and script.inlined == 0

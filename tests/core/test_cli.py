@@ -40,7 +40,7 @@ def test_run_second_invocation_served_from_disk_cache(tmp_path, capsys):
     assert "sample sets built=0" in second
 
 
-def test_run_spec_file_with_engine_and_workers(tmp_path, capsys):
+def test_run_spec_file_with_engine(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({
         "scenario": "single_platform",
@@ -50,10 +50,7 @@ def test_run_spec_file_with_engine_and_workers(tmp_path, capsys):
         "hours": 1440.0,
         "max_samples_per_dimm": 8,
     }))
-    code = main([
-        "run", "--spec", str(spec_path),
-        "--engine", "per_sample", "--workers", "2",
-    ])
+    code = main(["run", "--spec", str(spec_path), "--engine", "per_sample"])
     captured = capsys.readouterr().out
     assert code == 0
     assert "engine=per_sample" in captured

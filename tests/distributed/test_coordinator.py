@@ -10,17 +10,11 @@ import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
 from repro.distributed import coordinator as coordinator_module
-from repro.distributed.coordinator import (
-    ReplayCoordinator,
-    _run_pool,
-    build_samples_distributed,
-)
-from repro.features.pipeline import FeaturePipeline
+from repro.distributed.coordinator import ReplayCoordinator, _run_pool
 from repro.fleetops.cost import CostModel
 from repro.streaming.bus import EventBus
 
@@ -171,26 +165,6 @@ class TestFaultPaths:
         )
         parity_check(coordinator, report)
         assert report.distributed["partitions"] == coordinator.n_shards
-
-
-class TestShardedSampleBuild:
-    def test_distributed_build_is_bit_identical(self, purley_sim):
-        pipeline = FeaturePipeline()
-        pipeline.fit(purley_sim.store)
-        serial = pipeline.build_samples(
-            purley_sim.store, platform="intel_purley"
-        )
-        sharded = build_samples_distributed(
-            pipeline,
-            purley_sim.store,
-            platform="intel_purley",
-            workers=2,
-        )
-        assert np.array_equal(serial.X, sharded.X)
-        assert np.array_equal(serial.y, sharded.y)
-        assert np.array_equal(serial.times, sharded.times)
-        assert list(serial.dimm_ids) == list(sharded.dimm_ids)
-        assert serial.feature_names == sharded.feature_names
 
 
 class TestCoordinatorShare:

@@ -227,12 +227,11 @@ class TestRunResult:
 class TestSpec:
     def test_override_round_trip(self):
         spec = RunSpec().with_overrides(
-            ["scale=0.1", "models=lightgbm,random_forest", "workers=4",
+            ["scale=0.1", "models=lightgbm,random_forest",
              "engine=per_sample", "seed=11"]
         )
         assert spec.scale == 0.1
         assert spec.models == ("lightgbm", "random_forest")
-        assert spec.workers == 4
         assert spec.engine == "per_sample"
         restored = RunSpec.from_dict(spec.to_dict())
         assert restored == spec
@@ -248,6 +247,11 @@ class TestSpec:
             RunSpec().with_overrides(["scale"])
         with pytest.raises(ValueError, match="unknown RunSpec key"):
             RunSpec().with_overrides(["frobnicate=1"])
+        # The sample build is one process; a spec naming workers is stale.
+        with pytest.raises(ValueError, match="unknown RunSpec key"):
+            RunSpec().with_overrides(["workers=2"])
+        with pytest.raises(ValueError, match="unknown RunSpec keys"):
+            RunSpec.from_dict({**RunSpec().to_dict(), "workers": 2})
 
     @pytest.mark.parametrize("engine", ["warp", "batch"])
     def test_unknown_engine_rejected(self, engine):

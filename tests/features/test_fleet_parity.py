@@ -1,9 +1,9 @@
 """Parity of the cross-DIMM fleet extraction engine.
 
 The fleet pass (one :class:`FleetWindows` over every DIMM's concatenated
-history), the per-sample reference (:meth:`transform_one`) and the sharded
-parallel build must all produce bit-for-bit identical feature matrices and
-sample sets — across all three simulated platforms.
+history) and the per-sample reference (:meth:`transform_one`) must
+produce bit-for-bit identical feature matrices and sample sets — across
+all three simulated platforms.
 """
 
 import numpy as np
@@ -54,35 +54,33 @@ class TestFleetMatrixParity:
             ts_parts.append(ts)
             seg_parts.append(np.full(ts.size, i, dtype=np.int64))
             rows.extend(_reference_rows(fitted, store, dimm_id, ts))
-        n_checked = len(ts_parts)
         fleet_X = fitted.transform_fleet(
-            fleet.shard(0, n_checked),
-            [store.config_for(d) for d in fleet.dimm_ids[:n_checked]],
+            fleet,
+            [store.config_for(d) for d in fleet.dimm_ids],
             np.concatenate(ts_parts),
             np.concatenate(seg_parts),
         )
         assert np.array_equal(fleet_X, np.vstack(rows))
 
     def test_transform_fleet_equals_per_sample(self, platform_sim, fitted):
-        """Fleet rows == transform_one on a mid-fleet shard, whose segment
-        offsets are re-based."""
+        """Fleet rows == transform_one for mid-fleet DIMMs only, with the
+        DIMMs before and after them sampled nowhere."""
         _, sim = platform_sim
         store = sim.store
         fleet = store.fleet_arrays()
         n = min(5, fleet.n_dimms)
         first = (fleet.n_dimms - n) // 2
-        shard = fleet.shard(first, first + n)
         ts_parts, seg_parts, rows = [], [], []
-        for i, dimm_id in enumerate(shard.dimm_ids):
-            lo, hi = shard.ce_offsets[i], shard.ce_offsets[i + 1]
-            ts = np.concatenate([shard.times[lo:hi][:10], [0.0, 1e6]])
+        for i in range(first, first + n):
+            lo, hi = fleet.ce_offsets[i], fleet.ce_offsets[i + 1]
+            ts = np.concatenate([fleet.times[lo:hi][:10], [0.0, 1e6]])
             ts.sort()
             ts_parts.append(ts)
             seg_parts.append(np.full(ts.size, i, dtype=np.int64))
-            rows.extend(_reference_rows(fitted, store, dimm_id, ts))
+            rows.extend(_reference_rows(fitted, store, fleet.dimm_ids[i], ts))
         fleet_X = fitted.transform_fleet(
-            shard,
-            [store.config_for(d) for d in shard.dimm_ids],
+            fleet,
+            [store.config_for(d) for d in fleet.dimm_ids],
             np.concatenate(ts_parts),
             np.concatenate(seg_parts),
         )
@@ -104,22 +102,6 @@ class TestBuildSamplesParity:
         assert np.array_equal(fleet.times, reference.times)
         assert list(fleet.dimm_ids) == list(reference.dimm_ids)
         assert len(fleet) > 0
-
-    def test_sharded_build_is_bit_identical(self, platform_sim, fitted):
-        name, sim = platform_sim
-        store = sim.store
-        serial = fitted.build_samples(
-            store, name, sim.duration_hours, engine="fleet"
-        )
-        for workers in (2, 5):
-            sharded = fitted.build_samples(
-                store, name, sim.duration_hours, engine="fleet",
-                workers=workers,
-            )
-            assert np.array_equal(serial.X, sharded.X)
-            assert np.array_equal(serial.y, sharded.y)
-            assert np.array_equal(serial.times, sharded.times)
-            assert list(serial.dimm_ids) == list(sharded.dimm_ids)
 
     @pytest.mark.parametrize("engine", ["warp", "batch"])
     def test_unknown_engine_rejected(self, platform_sim, fitted, engine):

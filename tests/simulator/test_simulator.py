@@ -63,13 +63,6 @@ class TestWorkload:
         model = WorkloadModel()
         assert model.intensity(3.0) == pytest.approx(model.intensity(27.0))
 
-    def test_thinning_keeps_subset(self):
-        model = WorkloadModel(diurnal_amplitude=0.5)
-        rng = np.random.default_rng(0)
-        times = np.linspace(0, 24, 1000)
-        kept = model.thin_arrivals(rng, times)
-        assert 0 < kept.size < times.size
-
     def test_sample_workload_varies(self):
         models = {sample_workload(np.random.default_rng(i)).base for i in range(5)}
         assert len(models) == 5

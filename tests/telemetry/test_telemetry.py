@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.errorbits import BusErrorPattern, DeviceErrorBitmap
 from repro.ras.ce_storm import StormConfig
 from repro.telemetry.bmc import BmcCollector
 from repro.telemetry.columnar import RecordEncodingError
@@ -102,21 +101,6 @@ class TestRecords:
     def test_multi_device_flag(self):
         assert make_ce(devices=(1, 2)).is_multi_device
         assert not make_ce(devices=(1,)).is_multi_device
-
-    def test_from_pattern_uses_worst_device(self):
-        pattern = BusErrorPattern.from_device_bitmaps(
-            {
-                1: DeviceErrorBitmap.from_positions([(0, 0)]),
-                2: DeviceErrorBitmap.from_positions([(0, 0), (4, 1)]),
-            }
-        )
-        ce = CERecord.from_pattern(
-            timestamp_hours=0.0, server_id="s", dimm_id="d", rank=0,
-            bank=0, row=0, column=0, pattern=pattern,
-        )
-        assert ce.devices == (1, 2)
-        assert ce.dq_count == 2  # device 2's stats
-        assert ce.beat_interval == 4
 
 
 class TestMceCodec:
@@ -228,6 +212,10 @@ class TestLogStore:
             {"devices": [2.0]},
             {"rank": True},
             {"timestamp_hours": 10**400},
+            ("timestamp_hours", "NaN"),
+            ("timestamp_hours", "Infinity"),
+            ("timestamp_hours", "-Infinity"),
+            ("timestamp_hours", "1e400"),
         ],
         ids=[
             "int", "list", "string", "null", "int-too-many-digits",
@@ -235,6 +223,8 @@ class TestLogStore:
             "timestamp-str",
             "dq_count-str", "rank-str", "dimm_id-int", "device-float",
             "rank-bool", "timestamp-beyond-float",
+            "timestamp-nan", "timestamp-inf", "timestamp-minus-inf",
+            "timestamp-float-overflow",
         ],
     )
     def test_load_jsonl_skips_mistyped_lines(self, tmp_path, bad_line):
@@ -252,6 +242,13 @@ class TestLogStore:
             payload = json.loads(lines[1])
             payload.update(bad_line)
             bad_line = json.dumps(payload)
+        elif isinstance(bad_line, tuple):  # one field as a raw JSON token
+            field, token = bad_line
+            payload = json.loads(lines[1])
+            payload[field] = None
+            bad_line = json.dumps(payload).replace(
+                f'"{field}": null', f'"{field}": {token}'
+            )
         lines[1] = bad_line
         path.write_text("\n".join(lines) + "\n")
         obs = Observability()
@@ -365,6 +362,8 @@ class TestLogStore:
             {"dimm_id": 7},
             {"t": "1.0"},
             {"t": 10**400},
+            {"t": float("nan")},
+            {"t": float("inf")},
         ],
     )
     def test_unencodable_record_raises_and_stores_nothing(self, overrides):
