@@ -101,6 +101,8 @@ class RunSpec:
             raise ValueError("spec.scale must be positive")
         if self.hours <= 0:
             raise ValueError("spec.hours must be positive")
+        if self.max_samples_per_dimm < 1:
+            raise ValueError("spec.max_samples_per_dimm must be at least 1")
         if self.engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"spec.engine {self.engine!r} not in {ENGINE_CHOICES}"

@@ -32,6 +32,10 @@ class SamplingParams:
             raise ValueError("train_fraction must be in (0, 1)")
         if not 0.0 <= self.validation_dimm_fraction < 1.0:
             raise ValueError("validation_dimm_fraction must be in [0, 1)")
+        if self.max_samples_per_dimm < 1:
+            raise ValueError("max_samples_per_dimm must be at least 1")
+        if self.min_history_ces < 1:
+            raise ValueError("min_history_ces must be at least 1")
 
 
 @dataclass

@@ -8,7 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.features.windows import EPS, DimmHistory, FleetWindows
+from repro.features.windows import (
+    EPS,
+    DimmHistory,
+    FleetWindows,
+    compose_keys,
+)
 from repro.telemetry.columnar import FleetArrays
 
 
@@ -57,9 +62,9 @@ class SpatialExtractor:
             return [0.0] * 7 + [0.0] * 5
 
         # Composite keys for cells / rows / columns within (device, bank).
-        cell_keys = _compose(devices, banks, rows, columns)
-        row_keys = _compose(devices, banks, rows)
-        column_keys = _compose(devices, banks, columns)
+        cell_keys = compose_keys(devices, banks, rows, columns)
+        row_keys = compose_keys(devices, banks, rows)
+        column_keys = compose_keys(devices, banks, columns)
 
         max_cell = _max_group_count(cell_keys)
         row_unique, row_counts = np.unique(row_keys, return_counts=True)
@@ -77,7 +82,9 @@ class SpatialExtractor:
             mask = row_keys == key
             if np.unique(columns[mask]).size >= self.min_distinct:
                 has_row = True
-                faulty_row_banks.add(int(_compose(devices[mask][:1], banks[mask][:1])[0]))
+                faulty_row_banks.add(
+                    int(compose_keys(devices[mask][:1], banks[mask][:1])[0])
+                )
         has_column = False
         faulty_column_banks: set[int] = set()
         for key, count in zip(column_unique, column_counts):
@@ -87,7 +94,7 @@ class SpatialExtractor:
             if np.unique(rows[mask]).size >= self.min_distinct:
                 has_column = True
                 faulty_column_banks.add(
-                    int(_compose(devices[mask][:1], banks[mask][:1])[0])
+                    int(compose_keys(devices[mask][:1], banks[mask][:1])[0])
                 )
         has_bank = bool(faulty_row_banks & faulty_column_banks)
         multi_device = bool((n_devices >= 2).any())
@@ -95,7 +102,7 @@ class SpatialExtractor:
         return [
             float(np.unique(row_keys).size),
             float(np.unique(column_keys).size),
-            float(np.unique(_compose(devices, banks)).size),
+            float(np.unique(compose_keys(devices, banks)).size),
             float(np.unique(devices).size),
             float(max_cell),
             float(row_counts.max()),
@@ -131,31 +138,29 @@ class SpatialExtractor:
         if sid.size == 0:
             return out
 
-        rows = fleet.rows[idx]
-        columns = fleet.columns[idx]
-        banks = fleet.banks[idx]
-        devices = fleet.devices[idx]
-
-        # Incremental composition (same keys _compose builds, one multiply
-        # per level instead of re-deriving every prefix).
-        bank_keys = devices * 1_048_576 + banks
-        row_keys = bank_keys * 1_048_576 + rows
-        column_keys = bank_keys * 1_048_576 + columns
-        cell_keys = row_keys * 1_048_576 + columns
-
-        # One lexsort per hierarchy side: the row-side order (sid, row_key,
-        # column) is simultaneously grouped by bank and device (three-level
-        # compose keys are wrap-free, so the prefix order is preserved),
-        # yielding all the distinct counts without separate sorts.
+        # Rank keys: every group key depends only on the CE, so the
+        # fleet's dense ranks (built once per fleet) order the pairs by
+        # (sample, key) with one stable argsort of ``sid * stride + rank``.
+        # The row-side order (sample, row key, column) is grouped by bank
+        # and device too (row keys embed the (device, bank) prefix without
+        # wraparound), yielding all the distinct counts without separate
+        # sorts.
+        ranks = windows.hierarchy_ranks()
+        keyed = sid * ranks.stride
+        bank_keys = ranks.bank_keys[idx]
         row_side = _line_side(
-            sid, row_keys, columns, bank_keys, devices,
+            sid, keyed, ranks.row_line[idx], ranks.row_pair[idx],
+            bank_keys, fleet.devices[idx],
             self.line_threshold, self.min_distinct, n,
         )
         column_side = _line_side(
-            sid, column_keys, rows, bank_keys, None,
+            sid, keyed, ranks.column_line[idx], ranks.column_pair[idx],
+            bank_keys, None,
             self.line_threshold, self.min_distinct, n,
         )
-        max_cell = _max_group_per_sample(sid, cell_keys, n)
+        max_cell = _max_group_per_sample(
+            keyed + ranks.cell[idx], ranks.stride, n
+        )
 
         out[:, 0] = row_side.distinct_lines
         out[:, 1] = column_side.distinct_lines
@@ -179,14 +184,6 @@ class SpatialExtractor:
         return out
 
 
-def _compose(*arrays: np.ndarray) -> np.ndarray:
-    """Pack coordinate arrays into single integer keys."""
-    key = arrays[0].astype(np.int64)
-    for array in arrays[1:]:
-        key = key * 1_048_576 + array.astype(np.int64)  # 2^20 per level
-    return key
-
-
 def _max_group_count(keys: np.ndarray) -> int:
     if keys.size == 0:
         return 0
@@ -194,27 +191,22 @@ def _max_group_count(keys: np.ndarray) -> int:
     return int(counts.max())
 
 
-def _segment_starts(sid: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Boolean mask of (sample, key) group starts in lexsorted order."""
-    starts = np.ones(sid.size, dtype=bool)
-    starts[1:] = (sid[1:] != sid[:-1]) | (keys[1:] != keys[:-1])
-    return starts
-
-
-def _max_group_per_sample(sid: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
-    """Largest same-key group size inside each sample's window."""
-    order = np.lexsort((keys, sid))
-    s = sid[order]
-    starts = np.flatnonzero(_segment_starts(s, keys[order]))
-    counts = np.diff(np.append(starts, s.size))
+def _max_group_per_sample(keys: np.ndarray, stride: int, n: int) -> np.ndarray:
+    """Largest same-key group size inside each sample's window, from
+    ``sample * stride + rank`` keys."""
+    ordered = np.sort(keys)
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(np.append(starts, ordered.size))
     result = np.zeros(n)
-    np.maximum.at(result, s[starts], counts.astype(float))
+    np.maximum.at(result, ordered[starts] // stride, counts.astype(float))
     return result
 
 
 @dataclass
 class _LineSideStats:
-    """Everything one hierarchy side yields from a single lexsort."""
+    """Everything one hierarchy side yields from a single sort."""
 
     distinct_lines: np.ndarray
     max_line: np.ndarray
@@ -226,8 +218,9 @@ class _LineSideStats:
 
 def _line_side(
     sid: np.ndarray,
-    line_keys: np.ndarray,
-    cross: np.ndarray,
+    keyed: np.ndarray,
+    line_rank: np.ndarray,
+    pair_rank: np.ndarray,
     bank_keys: np.ndarray,
     devices: np.ndarray | None,
     line_threshold: int,
@@ -237,23 +230,26 @@ def _line_side(
     """Per-sample statistics of one hierarchy side (rows or columns).
 
     A line is faulty when it has >= ``line_threshold`` CEs across >=
-    ``min_distinct`` distinct cross coordinates.  Because line keys embed
-    the (device, bank) prefix without wraparound, the same sorted order is
-    grouped by bank and (when ``devices`` is given) by device, so distinct
-    bank / device counts ride along for free.
+    ``min_distinct`` distinct cross coordinates.  ``keyed`` is ``sid *
+    stride`` and ``pair_rank`` ranks (line key, cross coordinate), so one
+    stable argsort orders the pairs by (sample, line key, cross).  Because
+    line keys embed the (device, bank) prefix without wraparound, the same
+    sorted order is grouped by bank and (when ``devices`` is given) by
+    device, so distinct bank / device counts ride along for free.
     """
-    order = np.lexsort((cross, line_keys, sid))
+    pair_keys = keyed + pair_rank
+    order = np.argsort(pair_keys, kind="stable")
     s = sid[order]
-    k = line_keys[order]
-    c = cross[order]
+    k = line_rank[order]
+    p = pair_keys[order]
     b = bank_keys[order]
 
     sid_start = np.ones(s.size, dtype=bool)
     sid_start[1:] = s[1:] != s[:-1]
     group_start = sid_start.copy()
     group_start[1:] |= k[1:] != k[:-1]
-    cross_start = group_start.copy()
-    cross_start[1:] |= c[1:] != c[:-1]
+    cross_start = np.ones(s.size, dtype=bool)
+    np.not_equal(p[1:], p[:-1], out=cross_start[1:])
 
     gid = np.cumsum(group_start) - 1
     group_counts = np.bincount(gid)

@@ -152,7 +152,7 @@ class EnvironmentExtractor:
 
         ``server_codes[i]`` is the :meth:`server_code` of sample ``i``'s
         server (-1 for servers unseen at fit time, which score zeros just
-        like :meth:`compute`).  One segmented merge replaces the
+        like :meth:`compute`).  One segmented search replaces the
         per-sample ``np.searchsorted`` pair, bit-for-bit.
         """
         ts = np.asarray(ts, dtype=float)

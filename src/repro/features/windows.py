@@ -7,9 +7,9 @@ reference (``FeaturePipeline.transform_one``) reads.
 
 :class:`FleetWindows` is the fast path's companion: it resolves the window
 boundary indices every extractor needs for many samples of many DIMMs in
-one fleet-wide merge, so the vectorized ``compute_batch`` paths replace
-per-sample slicing with cumulative-sum / segment aggregations over shared
-indices.
+one fleet-wide rank-keyed search, so the vectorized ``compute_batch``
+paths replace per-sample slicing with cumulative-sum / segment
+aggregations over shared indices.
 """
 
 from __future__ import annotations
@@ -128,12 +128,12 @@ class FleetWindows:
     ``compute_batch`` works off the same ``(lo, hi)`` index pairs: ``hi``
     is resolved once, and the ``lo`` for each distinct window length on
     first use (cached).  Window indices are *global* (into the concatenated
-    arrays), and every boundary resolution happens in one fleet-wide merge
-    (:func:`segmented_searchsorted`) instead of two ``np.searchsorted``
-    calls per DIMM.  Because window members never cross segment
-    boundaries, the aggregations (``counts`` / ``expand`` / ``pairs`` and
-    the extractors' segment reductions keyed by sample id) run once over
-    the whole fleet, bit-for-bit equal to
+    arrays), and every boundary resolution happens in one fleet-wide
+    search (:func:`segmented_searchsorted`) instead of two
+    ``np.searchsorted`` calls per DIMM.  Because window members never
+    cross segment boundaries, the aggregations (``counts`` / ``expand`` /
+    ``pairs`` and the extractors' segment reductions keyed by sample id)
+    run once over the whole fleet, bit-for-bit equal to
     :meth:`~repro.features.pipeline.FeaturePipeline.transform_one` per
     sample.
     """
@@ -170,7 +170,7 @@ class FleetWindows:
         return lo
 
     def prefetch(self, windows_hours) -> None:
-        """Resolve several window lengths with one fused segmented merge."""
+        """Resolve several window lengths with one fused segmented search."""
         missing = [
             w for w in dict.fromkeys(map(float, windows_hours))
             if w not in self._lo
@@ -233,6 +233,11 @@ class FleetWindows:
         """Prefix counts of multi-device CEs (cacheable like
         :meth:`gap_array`)."""
         return prefix_sum(self.history.n_devices >= 2)
+
+    def hierarchy_ranks(self) -> "HierarchyRanks":
+        """Dense ranks of every CE's spatial group keys (cacheable like
+        :meth:`gap_array`)."""
+        return hierarchy_ranks(self.history)
 
     def since_first(self, observation_hours: float) -> np.ndarray:
         """Hours between each sample time and its DIMM's first CE."""
@@ -303,6 +308,63 @@ class FleetWindows:
             np.arange(offsets.size - 1),
         )
         return hi - lo, hi - lo0[self.sample_seg]
+
+
+def compose_keys(*arrays: np.ndarray) -> np.ndarray:
+    """Pack DRAM-hierarchy coordinate arrays into single int64 keys, 2^20
+    per level (a four-level cell key wraps for devices >= 8)."""
+    key = arrays[0].astype(np.int64)
+    for array in arrays[1:]:
+        key = key * 1_048_576 + array.astype(np.int64)
+    return key
+
+
+@dataclass(frozen=True)
+class HierarchyRanks:
+    """Dense ranks of every fleet CE's DRAM-hierarchy group keys.
+
+    The keys are :func:`compose_keys` of a CE's coordinates: a bank key is
+    (device, bank), a row key (bank key, row), a column key (bank key,
+    column) and a cell key (row key, column), which wraps in int64.  A
+    dense rank gives equal keys one integer and orders as the keys do, so
+    ``sample * stride + rank`` sorts (sample, key) pairs exactly as a
+    lexsort of (sample, key) would, with one stable ``argsort`` of a
+    single int64 key.
+    """
+
+    bank_keys: np.ndarray  # the (device, bank) key itself
+    row_line: np.ndarray  # rank of the row key
+    row_pair: np.ndarray  # rank of (row key, column)
+    column_line: np.ndarray  # rank of the column key
+    column_pair: np.ndarray  # rank of (column key, row)
+    cell: np.ndarray  # rank of the cell key
+    stride: int  # exceeds every rank
+
+
+def hierarchy_ranks(fleet: FleetArrays) -> HierarchyRanks:
+    """The :class:`HierarchyRanks` of every CE in ``fleet``."""
+    bank_keys = compose_keys(fleet.devices, fleet.banks)
+    row_keys = compose_keys(bank_keys, fleet.rows)
+    row_line = _dense_rank(row_keys)
+    column_line = _dense_rank(compose_keys(bank_keys, fleet.columns))
+    # Ranks stay below the CE count, so a pair of ranks packs wrap-free.
+    stride = max(fleet.times.size, 1)
+    return HierarchyRanks(
+        bank_keys=bank_keys,
+        row_line=row_line,
+        row_pair=_dense_rank(row_line * stride + _dense_rank(fleet.columns)),
+        column_line=column_line,
+        column_pair=_dense_rank(
+            column_line * stride + _dense_rank(fleet.rows)
+        ),
+        cell=_dense_rank(compose_keys(row_keys, fleet.columns)),
+        stride=stride,
+    )
+
+
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Each key's index among the sorted distinct keys."""
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def prefix_sum(values: np.ndarray) -> np.ndarray:

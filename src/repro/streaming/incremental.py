@@ -52,8 +52,8 @@ from repro.telemetry.columnar import (
 )
 from repro.telemetry.records import CERecord, MemEventKind, MemEventRecord
 
-#: 2^20 per hierarchy level — the same packing ``spatial._compose`` uses, so
-#: composed keys here equal the offline composite keys exactly.
+#: 2^20 per hierarchy level — the same packing ``windows.compose_keys``
+#: uses, so composed keys here equal the offline composite keys exactly.
 _LEVEL = 1_048_576
 
 #: The offline extractors build composite keys in int64, and the four-level

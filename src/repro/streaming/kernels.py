@@ -37,8 +37,12 @@ strictly before it, and the fitted (static) environment index.
   ``FeaturePipeline.transform_one`` on the arrival prefix, bit for bit —
   including the int64 cell-key wrap in the spatial extractor.
 * **Window starts** — resolved per sub-window with one fleet-wide
-  :func:`~repro.telemetry.columnar.segmented_searchsorted` merge
-  (identical float comparisons to per-DIMM ``np.searchsorted``).
+  :func:`~repro.telemetry.columnar.segmented_searchsorted`, a search of
+  integer rank keys (identical float comparisons to per-DIMM
+  ``np.searchsorted``).  The spatial extractor's group keys are dense
+  ranks built once per kernel
+  (:func:`~repro.features.windows.hierarchy_ranks`) and served to every
+  flush through :class:`PrefixWindows`.
 * **Arrival-exact storm/repair bounds** — a storm or repair logged at
   exactly ``t`` sorts *after* the CE (tie order), so the per-event state
   has not seen it when the CE is served; :class:`PrefixWindows` therefore
@@ -65,6 +69,8 @@ from repro.features.windows import (
     SUB_WINDOWS_HOURS,
     DimmHistory,
     FleetWindows,
+    HierarchyRanks,
+    hierarchy_ranks,
 )
 from repro.telemetry.columnar import (
     CE_DIMM,
@@ -112,6 +118,7 @@ class PrefixWindows(FleetWindows):
         since_first: np.ndarray | None = None,
         gaps: np.ndarray | None = None,
         multi_prefix: np.ndarray | None = None,
+        ranks: HierarchyRanks | None = None,
     ):
         self.history = fleet
         self.ts = np.asarray(ts, dtype=float)
@@ -119,7 +126,7 @@ class PrefixWindows(FleetWindows):
         self.ends = self.ts + EPS
         self._base = fleet.ce_offsets[self.sample_seg]
         self.hi = np.asarray(hi, dtype=np.int64)
-        # Pre-resolved boundary tables (one fleet-wide merge at kernel
+        # Pre-resolved boundary tables (one fleet-wide search at kernel
         # build) — per-chunk queries then reduce to array gathers.  Any
         # window length not seeded falls back to the inherited resolve.
         self._lo: dict[float, np.ndarray] = (
@@ -131,6 +138,7 @@ class PrefixWindows(FleetWindows):
         self._since_first = since_first
         self._gaps = gaps
         self._multi_prefix = multi_prefix
+        self._ranks = ranks
 
     def gap_array(self) -> np.ndarray:
         if self._gaps is not None:
@@ -141,6 +149,11 @@ class PrefixWindows(FleetWindows):
         if self._multi_prefix is not None:
             return self._multi_prefix
         return super().multi_device_prefix()
+
+    def hierarchy_ranks(self) -> HierarchyRanks:
+        if self._ranks is not None:
+            return self._ranks
+        return super().hierarchy_ranks()
 
     @property
     def event_ends(self) -> np.ndarray:
@@ -429,7 +442,8 @@ class ReplayKernel:
         """Resolve every query's window boundaries once, fleet-wide.
 
         Per-flush feature serving then reduces to array gathers plus the
-        pair-level aggregation — no O(fleet) merges inside the hot loop.
+        pair-level aggregation — no O(fleet) searches or rank builds
+        inside the hot loop.
         """
         if self._static_rows is not None:
             return
@@ -456,7 +470,7 @@ class ReplayKernel:
 
         q_ts, q_seg, q_hi = self._q_ts, self._q_seg, self._q_hi
         n_q = q_ts.size
-        # One fused merge resolves every window start the extractors ask for.
+        # One fused search resolves every window start the extractors ask for.
         lengths = tuple(dict.fromkeys(
             SUB_WINDOWS_HOURS
             + (
@@ -527,6 +541,7 @@ class ReplayKernel:
         self._gap_array = np.append(np.diff(fleet.times), np.inf)
         self._multi_prefix = np.zeros(fleet.times.size + 1)
         np.cumsum(fleet.n_devices >= 2, out=self._multi_prefix[1:])
+        self._ranks = hierarchy_ranks(fleet)
 
     def features_for(
         self, rows: np.ndarray, out: np.ndarray | None = None
@@ -572,6 +587,7 @@ class ReplayKernel:
                 since_first=self._since_first_all[rows_sl],
                 gaps=self._gap_array,
                 multi_prefix=self._multi_prefix,
+                ranks=self._ranks,
             )
             temporal = pipeline.temporal.compute_batch(
                 self.fleet, windows.ts, windows

@@ -822,13 +822,16 @@ def segmented_searchsorted(
 
     ``values`` concatenates per-segment sorted arrays (segment ``s`` lives
     in ``values[value_offsets[s]:value_offsets[s + 1]]``).  Queries carry
-    their segment in ``query_segments`` and need not be sorted.  One stable
-    lexsort of (segment, value, query-before-value) merges everything; each
-    query's within-segment insertion index is then the running count of
-    values ahead of it minus the values of earlier segments.  The float
-    comparisons are exactly those of per-segment ``np.searchsorted`` calls,
-    so the result is bit-for-bit identical — just without the per-segment
-    call overhead.
+    their segment in ``query_segments`` and need not be sorted.  With
+    ``r(x) = searchsorted(sort(values), x, "left")`` (the count of values
+    below ``x``), ``v < q`` exactly when ``r(v) < r(q)``, so the integer
+    rank key ``segment * (n_values + 1) + r`` orders values and queries as
+    the floats do within a segment and separates segments.  The values'
+    keys are already sorted, and one ``searchsorted`` of the query keys
+    among them, minus the values of earlier segments, is each query's
+    within-segment insertion index: the float comparisons are exactly
+    those of per-segment ``np.searchsorted`` calls, so the result is
+    bit-for-bit identical, without the per-segment call overhead.
     """
     n_values = values.size
     n_queries = queries.size
@@ -836,20 +839,13 @@ def segmented_searchsorted(
         return np.empty(0, dtype=np.int64)
     if n_values == 0:
         return np.zeros(n_queries, dtype=np.int64)
-    value_segments = np.repeat(
-        np.arange(value_offsets.size - 1), np.diff(value_offsets)
+    ordered = np.sort(values)
+    stride = n_values + 1
+    value_keys = np.searchsorted(ordered, values)
+    value_keys += np.repeat(
+        np.arange(value_offsets.size - 1) * stride, np.diff(value_offsets)
     )
-    merged_values = np.concatenate([values, queries])
-    merged_segments = np.concatenate([value_segments, query_segments])
-    # side="left": queries sort before equal values.
-    tags = np.zeros(merged_values.size, dtype=np.int8)
-    tags[:n_values] = 1
-    order = np.lexsort((tags, merged_values, merged_segments))
-    value_running = np.cumsum(order < n_values)
-    query_positions = np.flatnonzero(order >= n_values)
-    result = np.empty(n_queries, dtype=np.int64)
-    result[order[query_positions] - n_values] = (
-        value_running[query_positions]
-        - value_offsets[query_segments[order[query_positions] - n_values]]
-    )
-    return result
+    query_keys = np.searchsorted(ordered, queries)
+    query_keys += query_segments * stride
+    found = np.searchsorted(value_keys, query_keys)
+    return found - value_offsets[query_segments]

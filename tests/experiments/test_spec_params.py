@@ -99,6 +99,12 @@ class TestDottedParamsOverrides:
         with pytest.raises(ValueError, match="JSON-serialisable"):
             RunSpec(params={"bad": object()}).validate()
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_max_samples_below_one_rejected_at_validate(self, value):
+        spec = RunSpec().with_overrides([f"max_samples_per_dimm={value}"])
+        with pytest.raises(ValueError, match="max_samples_per_dimm must be"):
+            spec.validate()
+
     def test_platform_override_value_error_is_clear(self):
         with pytest.raises(ValueError, match="must be numeric"):
             RunSpec().with_overrides(["platform_overrides=k920:scale=big"])

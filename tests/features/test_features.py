@@ -149,6 +149,16 @@ class TestSampling:
         rng = np.random.default_rng(0)
         assert choose_sample_times(np.array([1.0]), 10, 3, rng).size == 0
 
+    @pytest.mark.parametrize(
+        "field", ["max_samples_per_dimm", "min_history_ces"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, field, value):
+        # 0 samples would divide by zero in choose_sample_times, and a
+        # 0-CE history would slice from the last CE only.
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            SamplingParams(**{field: value})
+
     def test_temporal_split_separates_periods(self, purley_sim, tiny_protocol):
         pipeline = FeaturePipeline(
             FeaturePipelineConfig(

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.features.windows import DimmHistory
 from repro.telemetry.columnar import segmented_searchsorted
@@ -273,27 +273,45 @@ def _check_round_trip(store, tmp: Path) -> LogStore:
     return loaded
 
 
+#: A small value set: ties are heavy, and -0.0 sits next to 0.0.
+_TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+
+
 @given(
     st.lists(
-        st.lists(st.floats(0.0, 100.0, allow_nan=False), max_size=12),
+        st.lists(
+            st.one_of(st.floats(0.0, 100.0, allow_nan=False), _TIED),
+            max_size=12,
+        ),
         min_size=1,
         max_size=6,
     ),
     st.lists(
-        st.tuples(st.floats(-10.0, 110.0, allow_nan=False), st.integers(0, 5)),
+        st.tuples(
+            st.one_of(st.floats(-10.0, 110.0, allow_nan=False), _TIED),
+            st.integers(0, 5),
+        ),
         max_size=25,
     ),
 )
-@settings(max_examples=80, deadline=None)
+@example(
+    segments=[[], [-0.0, 0.0, 0.0, 1.0], [], [0.0, -0.0], [2.0, 2.0, 2.0]],
+    queries=[(0.0, 0), (-0.0, 1), (0.0, 1), (0.0, 3), (-0.0, 3), (2.0, 4),
+             (2.0, 2), (1.0, 1), (3.0, 4), (-5.0, 4)],
+)
+@settings(max_examples=120, deadline=None)
 def test_segmented_searchsorted_matches_per_segment(segments, queries):
-    segments = [np.sort(np.asarray(seg)) for seg in segments]
+    segments = [np.sort(np.asarray(seg, dtype=float)) for seg in segments]
     offsets = np.zeros(len(segments) + 1, dtype=np.int64)
     np.cumsum([seg.size for seg in segments], out=offsets[1:])
-    values = np.concatenate(segments) if segments else np.empty(0)
-    query_values = np.array([q for q, _ in queries], dtype=float)
-    query_segments = np.array(
-        [s % len(segments) for _, s in queries], dtype=np.int64
-    )
+    values = np.concatenate(segments)
+    # Besides the drawn queries, every value (so queries equal to values,
+    # with both signs of zero) is asked of every segment, empty ones too.
+    pairs = [(q, s % len(segments)) for q, s in queries] + [
+        (q, s) for q in [*values, -0.0, 0.0] for s in range(len(segments))
+    ]
+    query_values = np.array([q for q, _ in pairs], dtype=float)
+    query_segments = np.array([s for _, s in pairs], dtype=np.int64)
     got = segmented_searchsorted(values, offsets, query_values, query_segments)
     expected = np.array(
         [
@@ -301,5 +319,6 @@ def test_segmented_searchsorted_matches_per_segment(segments, queries):
             for q, s in zip(query_values, query_segments)
         ],
         dtype=np.int64,
-    ).reshape(query_values.size)
+    )
+    assert got.dtype == np.int64
     assert np.array_equal(got, expected)
